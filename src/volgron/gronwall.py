@@ -27,10 +27,8 @@ from .measures import DiscreteMeasure, MeasureSpec
 from .quadrature import range_weights_matrix
 from .resolvent import (
     FractionalResolventParams,
-    _column_operator,
     _density_on_nodes,
-    _kp_triangle,
-    _layer_update,
+    _integrated_series,
     _sorted_atoms,
     _tail_factorial,
     _void_q,
@@ -159,11 +157,30 @@ def _col_pow(kernel: Kernel, nodes: np.ndarray, t: float, p: float) -> np.ndarra
 
 
 def _suffix_integrals(g: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Q[j] = integral over [s_j, t] of g, via the range weights."""
+    """Q[j] = integral over [s_j, t] of g, via the range weights.
+
+    With interior weight 1, Q is a reverse cumulative sum; ranges of six
+    or more panels then correct their three end weights at each end, and
+    shorter ranges use their closed rules.  All range weights are
+    positive, so a +inf entry of g makes every range holding it infinite;
+    other non-finite entries count as 0 and the one-point range at t is
+    null, so Q is never NaN.
+    """
     m = g.size
-    Q = np.empty(m)
-    for j in range(m):
-        Q[j] = W[m - 1 - j, : m - j] @ g[j:]
+    fin = np.isfinite(g)
+    gf = np.where(fin, g, 0.0)
+    Q = np.cumsum(gf[::-1])[::-1].copy()
+    k = m - 6  # ranges of N >= 6 panels start at j < k
+    if k > 0:
+        for d, c in enumerate(W[m - 1, :3] - 1.0):
+            Q[:k] += c * (gf[d:d + k] + gf[m - 1 - d])
+    for N in range(1, min(m, 6)):
+        Q[m - 1 - N] = W[N, : N + 1] @ gf[m - 1 - N:]
+    Q[m - 1] = 0.0
+    if not fin.all():
+        hit = np.cumsum((g == np.inf)[::-1])[::-1] > 0
+        hit[m - 1] = False
+        Q[hit] = np.inf
     return Q
 
 
@@ -291,43 +308,10 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
                 return SeriesValue(v_t + total, tail_ml, n, True)
         return SeriesValue(v_t + total, math.inf, n_cap, False)
 
-    use_level = level + 1 if not isinstance(measure, DiscreteMeasure) else level
-    nodes, B, _ = _column_operator(kernel, measure, p, domain.lo, float(t),
-                                   use_level)
-    m = nodes.size
-    cur = _kp_triangle(kernel, nodes, p)
-    if isinstance(measure, DiscreteMeasure):
-        pts, masses = _sorted_atoms(measure)
-        keep = (pts >= domain.lo) & (pts <= t)
-        row_w = masses[keep]
-        if row_w.size != m:
-            row_w = np.append(row_w, 0.0)
-        advance = lambda R: B @ R  # noqa: E731
-        majorant_ok = False
-    else:
-        dens = _density_on_nodes(measure, nodes)
-        W = range_weights_matrix(m)
-        A = cur * dens[None, :]
-        row_w = W[-1] * dens
-        advance = lambda R: _layer_update(A, R, W)  # noqa: E731
-        majorant_ok = kernel.monotone
-
-    v_vals = np.asarray(vf(nodes), dtype=float)
-    sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) else math.inf
-    q = float(row_w @ np.where(np.isfinite(cur[-1]), cur[-1], np.inf))
-    majorant_ok = majorant_ok and math.isfinite(q) and math.isfinite(sup_v)
-    total = 0.0
-    for n in range(1, n_cap + 1):
-        integ = float(row_w @ (cur[-1] * v_vals**p))
-        if not math.isfinite(integ):
-            return SeriesValue(math.inf, 0.0, n, True)
-        total += max(integ, 0.0) ** (1.0 / p)
-        if majorant_ok:
-            tail = sup_v * _tail_factorial(q, p, n + 1)
-            if tail < tol:
-                return SeriesValue(v_t + total, tail, n, True)
-        cur = advance(cur)
-    return SeriesValue(v_t + total, math.inf, n_cap, False)
+    sv = _integrated_series(kernel, measure, p, domain.lo, float(t), tol,
+                            level, n_cap, v=vf)
+    return SeriesValue(v_t + sv.sum, sv.tail_bound, sv.terms_used,
+                       sv.converged)
 
 
 def _ml_tail(ap: float, X: float, p: float, n_start: int,

@@ -12,6 +12,16 @@ fractional kernels bypass grid quadrature entirely via a one-dimensional
 recursion in the gap variable, with gamma-function closed forms when the
 pole exponent ``beta`` vanishes.
 
+One interval layer costs one m x m matrix product plus O(m) work: the
+range weights are 1 inside long ranges, their end weights factor into
+the first subdiagonals of the two factors, and the short ranges are
+rewritten with their closed rules (``_layer_update``).  Series that only
+need integrals of the iterates over the lower set of t (the series
+function and the resolvent bound) never build layers: by Fubini those
+integrals advance by one matrix-vector product per term
+(``_integrated_series``).  Grid values follow the convention
+``0 * inf = 0``; no layer or series term is ever NaN.
+
 Series built on top (the resolvent itself, and the series function whose
 finiteness defines the tractable kernel class) carry certified truncation
 tails dispatched per family: factorial majorants for monotone kernels on
@@ -222,13 +232,65 @@ def _kp_triangle(kernel: Kernel, nodes: np.ndarray, p: float) -> np.ndarray:
     return np.where(_tril_mask(m), vals, 0.0)
 
 
+def _inf_hits(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Where ``A @ X`` holds a product of two positive factors, one of
+    them infinite."""
+    pos_a, pos_x = A > 0, X > 0
+    inf_a, inf_x = pos_a & np.isinf(A), pos_x & np.isinf(X)
+    return (inf_a.astype(float) @ pos_x.astype(float)
+            + pos_a.astype(float) @ inf_x.astype(float)) > 0
+
+
+def _ext_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A @ X`` over the extended reals with the convention 0 * inf = 0.
+
+    A product counts as +inf only when both factors are positive and one
+    of them is infinite; every other product with a non-finite factor
+    counts as 0, so the result never holds NaN.
+    """
+    fin_a, fin_x = np.isfinite(A), np.isfinite(X)
+    if fin_a.all() and fin_x.all():
+        return A @ X
+    out = np.where(fin_a, A, 0.0) @ np.where(fin_x, X, 0.0)
+    out[_inf_hits(A, X)] = np.inf
+    return out
+
+
 def _layer_update(A: np.ndarray, R: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """One recursion step R'[i, j] = sum_l W[i-j, l-j] A[i, l] R[l, j]."""
+    """One recursion step R'[i, j] = sum_l W[i-j, l-j] A[i, l] R[l, j].
+
+    Only the lower triangles of A and R enter.  In a range of six or more
+    panels the weight of node l is 1 except for the three end weights at
+    each end, and since l - j <= 2 and i - l <= 2 cannot both hold there,
+    it is a factor of i - l times a factor of l - j.  Folding those
+    factors into the first three subdiagonals of A and of R makes the
+    step one matrix product; the diagonals i - j <= 5 are then rewritten
+    with the closed short-range rules, and the diagonal is 0 (a one-point
+    range is null).  Products follow ``_ext_matmul``: no entry is NaN.
+    """
     m = A.shape[0]
-    out = np.zeros_like(R)
-    for j in range(m):
-        sub = A[j:, j:] * W[: m - j, : m - j]
-        out[j:, j] = sub @ R[j:, j]
+    A, R = np.tril(A), np.tril(R)
+    fin_a, fin_r = np.isfinite(A), np.isfinite(R)
+    hits = None
+    if not (fin_a.all() and fin_r.all()):
+        hits = np.tril(_inf_hits(A, R), -1)
+        A, R = np.where(fin_a, A, 0.0), np.where(fin_r, R, 0.0)
+    short = min(m, 6)
+    a_sub = [np.diagonal(A, -e).copy() for e in range(short)]
+    r_sub = [np.diagonal(R, -d).copy() for d in range(short)]
+    if m > 6:
+        for d, c in enumerate(W[m - 1, :3]):
+            k = np.arange(m - d)
+            A[k + d, k] *= c
+            R[k + d, k] *= c
+    out = A @ R
+    for N in range(1, short):
+        j = np.arange(m - N)
+        out[j + N, j] = sum(W[N, d] * a_sub[N - d][j + d] * r_sub[d][j]
+                            for d in range(N + 1))
+    if hits is not None:
+        out[hits] = np.inf
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -1157,41 +1219,49 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
     if float(t) <= domain.lo and not isinstance(measure, DiscreteMeasure):
         return SeriesValue(0.0, 0.0, 0, True)  # null lower set
 
-    # table route over the lower set [lo, t], one level finer
-    use_level = level + 1 if not isinstance(measure, DiscreteMeasure) else level
-    nodes, B, _ = _column_operator(kernel, measure, p, domain.lo, float(t),
-                                   use_level)
-    m = nodes.size
-    cur = _kp_triangle(kernel, nodes, p)
-    if isinstance(measure, DiscreteMeasure):
-        pts, masses = _sorted_atoms(measure)
-        keep = (pts >= domain.lo) & (pts <= t)
-        row_w = masses[keep]
-        if row_w.size != m:
-            row_w = np.append(row_w, 0.0)
-        advance = lambda R: B @ R  # noqa: E731
-        majorant_ok = False
-    else:
-        dens = _density_on_nodes(measure, nodes)
-        W = range_weights_matrix(m)
-        A = _kp_triangle(kernel, nodes, p) * dens[None, :]
-        row_w = W[-1] * dens
-        advance = lambda R: _layer_update(A, R, W)  # noqa: E731
-        majorant_ok = kernel.monotone
+    return _integrated_series(kernel, measure, p, domain.lo, float(t), tol,
+                              level, n_cap)
 
-    q = float(row_w @ np.where(np.isfinite(cur[-1]), cur[-1], 0.0))
-    majorant_ok = majorant_ok and math.isfinite(q)
+
+def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
+                       level: int, n_cap: int, v=None) -> SeriesValue:
+    """Sum over n of (integral over [lo, t] of R_n(t, s) v(s)**p mu(ds))**(1/p).
+
+    By Fubini the integrals g_n(x) over [lo, x] obey g_1 = B v**p and
+    g_{n+1} = B g_n with the lower-set operator B of ``_column_operator``,
+    so each term is one matrix-vector product and only g_n(t) is read.
+    This is exact for discrete measures; on intervals it runs one grid
+    level finer than requested.  ``v`` defaults to 1.  Monotone kernels
+    on atomless measures get the factorial tail ``sup v * T(q)`` with the
+    gap integral ``q = (B 1)(t)``; a non-finite ``q`` or ``sup v``
+    disables it.
+    """
+    discrete = isinstance(measure, DiscreteMeasure)
+    nodes, B, _ = _column_operator(kernel, measure, p, lo, t,
+                                   level if discrete else level + 1)
+    ones = np.ones(nodes.size)
+    if v is None:
+        w, sup_v = ones, 1.0
+    else:
+        v_vals = np.asarray(v(nodes), dtype=float)
+        w = v_vals**p
+        sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
+            else math.inf
+    q = float(_ext_matmul(B, ones)[-1])
+    majorant_ok = (kernel.monotone and not discrete and math.isfinite(q)
+                   and math.isfinite(sup_v))
+    g = _ext_matmul(B, w)
     total = 0.0
     for n in range(1, n_cap + 1):
-        integ = float(row_w @ cur[-1])
+        integ = float(g[-1])
         if not math.isfinite(integ):
             return SeriesValue(math.inf, 0.0, n, True)
         total += max(integ, 0.0) ** (1.0 / p)
         if majorant_ok:
-            tail = _tail_factorial(q, p, n + 1)
+            tail = sup_v * _tail_factorial(q, p, n + 1)
             if tail < tol:
                 return SeriesValue(total, tail, n, True)
-        cur = advance(cur)
+        g = _ext_matmul(B, g)
     return SeriesValue(total, math.inf, n_cap, False)
 
 

@@ -1,0 +1,292 @@
+"""The matrix-product layer update, the integrated-series recursion and the
+vectorised suffix integrals, each against the plain implementation it
+replaced, kept here as the reference."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from volgron.domains import Interval1D, QuadratureGrid
+from volgron.gronwall import _suffix_integrals, resolvent_bound
+from volgron.kernels import CallableKernel, SeparableKernel, constant_kernel
+from volgron.measures import DiscreteMeasure, Lebesgue, WeightedLebesgue
+from volgron.quadrature import range_weights_matrix
+from volgron.resolvent import (
+    _column_operator,
+    _density_on_nodes,
+    _kp_triangle,
+    _layer_update,
+    _sorted_atoms,
+    _tail_factorial,
+    compose_layers,
+    iterated_kernels,
+    series_function_I,
+)
+from volgron.specfun import SeriesValue
+
+DOM = Interval1D(0.0, 1.0)
+WEIGHTED = WeightedLebesgue(lambda x: 1.0 + 0.5 * np.asarray(x, dtype=float))
+SEP = SeparableKernel(k0=lambda t: 1.0 + np.asarray(t, dtype=float),
+                      k1=lambda s: 2.0 - np.asarray(s, dtype=float),
+                      k0_monotone="increasing")
+KERNELS = {
+    "constant": (constant_kernel(1.5), Lebesgue()),
+    "separable": (SEP, Lebesgue()),
+    "weighted": (SEP, WEIGHTED),
+}
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def loop_layer_update(A, R, W):
+    """The column loop: R'[i, j] = sum_l W[i-j, l-j] A[i, l] R[l, j]."""
+    m = A.shape[0]
+    out = np.zeros_like(R)
+    for j in range(m):
+        sub = A[j:, j:] * W[: m - j, : m - j]
+        out[j:, j] = sub @ R[j:, j]
+    return out
+
+
+def ext_loop_layer_update(A, R, W):
+    """Entry-by-entry update with 0 * inf = 0: a term is +inf only when its
+    weight and both factors are positive and one factor is infinite."""
+    m = A.shape[0]
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1):
+            total, hit = 0.0, False
+            for l in range(j, i + 1):
+                w, a, r = W[i - j, l - j], A[i, l], R[l, j]
+                if math.isfinite(a) and math.isfinite(r):
+                    total += w * a * r
+                elif w > 0 and a > 0 and r > 0:
+                    hit = True
+            out[i, j] = math.inf if hit else total
+    return out
+
+
+def loop_suffix_integrals(g, W):
+    m = g.size
+    Q = np.empty(m)
+    for j in range(m):
+        Q[j] = W[m - 1 - j, : m - j] @ g[j:]
+    return Q
+
+
+def table_route_series(kernel, measure, p, t, tol, level, v=None,
+                       n_cap=400):
+    """The full-table route: advance whole m x m layers and integrate
+    their last row (the series part of series_function_I and, with v,
+    of resolvent_bound)."""
+    use_level = level if isinstance(measure, DiscreteMeasure) else level + 1
+    nodes, B, _ = _column_operator(kernel, measure, p, DOM.lo, t, use_level)
+    m = nodes.size
+    cur = _kp_triangle(kernel, nodes, p)
+    if isinstance(measure, DiscreteMeasure):
+        pts, masses = _sorted_atoms(measure)
+        row_w = masses[(pts >= DOM.lo) & (pts <= t)]
+        if row_w.size != m:
+            row_w = np.append(row_w, 0.0)
+        advance = lambda R: B @ R  # noqa: E731
+        majorant_ok = False
+    else:
+        dens = _density_on_nodes(measure, nodes)
+        W = range_weights_matrix(m)
+        A = cur * dens[None, :]
+        row_w = W[-1] * dens
+        advance = lambda R: _layer_update(A, R, W)  # noqa: E731
+        majorant_ok = kernel.monotone
+    v_vals = np.ones(m) if v is None else np.asarray(v(nodes), dtype=float)
+    sup_v = float(np.max(v_vals))
+    q = float(row_w @ cur[-1])
+    total = 0.0
+    for n in range(1, n_cap + 1):
+        integ = float(row_w @ (cur[-1] * v_vals**p))
+        total += max(integ, 0.0) ** (1.0 / p)
+        if majorant_ok:
+            tail = sup_v * _tail_factorial(q, p, n + 1)
+            if tail < tol:
+                return SeriesValue(total, tail, n, True)
+        cur = advance(cur)
+    return SeriesValue(total, math.inf, n_cap, False)
+
+
+def _nodes(m):
+    return np.linspace(0.0, 1.0, m)
+
+
+# ---------------------------------------------------------------------------
+# layer update
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", list(range(2, 10)) + [129, 513])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_layer_update_matches_column_loop(m, name, p):
+    kernel, measure = KERNELS[name]
+    nodes = _nodes(m)
+    kp = _kp_triangle(kernel, nodes, p)
+    A = kp * _density_on_nodes(measure, nodes)[None, :]
+    W = range_weights_matrix(m)
+    R2 = _layer_update(A, kp, W)
+    # entries above the diagonal are outside the recursion: both ignore them
+    rng = np.random.default_rng(m)
+    above = np.triu(rng.uniform(1.0, 9.0, (m, m)), 1)
+    for R in (kp, R2):
+        ref = loop_layer_update(A + above, R + above, W)
+        new = _layer_update(A + above, R + above, W)
+        np.testing.assert_allclose(new, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [3, 6, 7, 8, 12])
+def test_layer_update_non_finite_entries_follow_zero_times_inf(m):
+    rng = np.random.default_rng(100 + m)
+    W = range_weights_matrix(m)
+    for _ in range(4):
+        A = np.tril(rng.uniform(0.1, 2.0, (m, m)))
+        R = np.tril(rng.uniform(0.1, 2.0, (m, m)))
+        for M in (A, R):
+            pick = rng.random((m, m))
+            M[pick < 0.15] = 0.0
+            M[(pick >= 0.15) & (pick < 0.25)] = np.inf
+            M[(pick >= 0.25) & (pick < 0.3)] = np.nan
+        new = _layer_update(A, R, W)
+        assert not np.any(np.isnan(new))
+        np.testing.assert_allclose(new, ext_loop_layer_update(A, R, W),
+                                   rtol=1e-13, atol=0.0)
+
+
+def test_singular_diagonal_layers_hold_no_nan():
+    # k = 1/sqrt(t - s) is infinite on the diagonal; every later layer is
+    # infinite below it and null on it (a one-point range has measure 0)
+    kern = CallableKernel(lambda t, s: 1.0 / np.sqrt(np.maximum(t - s, 0.0)))
+    tab = iterated_kernels(kern, Lebesgue(), 1.0, 3,
+                           QuadratureGrid.for_interval(DOM, 5))
+    assert not np.any(np.isnan(tab.values))
+    strict = np.tril(np.ones((33, 33), dtype=bool), -1)
+    for n in (2, 3):
+        layer = tab.layer(n)
+        assert np.all(np.isinf(layer[strict]))
+        assert np.all(np.diag(layer) == 0.0)
+    assert not np.any(np.isnan(compose_layers(tab, 1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# integrated series
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("level", [6, 7])
+def test_series_route_matches_table_route(p, level):
+    # the two routes are different quadratures of the same iterated
+    # integrals: they agree to within the table route's own two-level
+    # quadrature error
+    t, tol = 0.9, 1e-12
+    sv = series_function_I(SEP, WEIGHTED, p, t, domain=DOM, tol=tol,
+                           level=level)
+    ref = table_route_series(SEP, WEIGHTED, p, t, tol, level)
+    coarse = table_route_series(SEP, WEIGHTED, p, t, tol, level - 1)
+    assert sv.converged and ref.converged
+    assert abs(sv.sum - ref.sum) <= abs(ref.sum - coarse.sum)
+    assert sv.terms_used == ref.terms_used
+
+    v = lambda s: 1.0 + 0.5 * np.asarray(s, dtype=float)  # noqa: E731
+    rb = resolvent_bound(v, SEP, WEIGHTED, p, t, domain=DOM, tol=tol,
+                         level=level)
+    ref = table_route_series(SEP, WEIGHTED, p, t, tol, level, v=v)
+    coarse = table_route_series(SEP, WEIGHTED, p, t, tol, level - 1, v=v)
+    assert rb.converged
+    assert abs(rb.sum - v(t) - ref.sum) <= abs(ref.sum - coarse.sum)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_series_route_constant_kernel_same_terms(p):
+    kern = constant_kernel(1.5)
+    sv = series_function_I(kern, Lebesgue(), p, 1.0, domain=DOM, tol=1e-10,
+                           level=6)
+    ref = table_route_series(kern, Lebesgue(), p, 1.0, 1e-10, 6)
+    assert sv.terms_used == ref.terms_used
+    assert sv.sum == pytest.approx(ref.sum, rel=1e-13)
+    assert sv.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+
+
+def test_series_route_discrete_measure_is_exact_sum():
+    mu = DiscreteMeasure(tuple((i / 8, 0.05 + i / 40) for i in range(8)))
+    sv = series_function_I(SEP, mu, 1.0, 0.8, domain=DOM)
+    ref = table_route_series(SEP, mu, 1.0, 0.8, 1e-10, 8)
+    assert sv.terms_used == ref.terms_used
+    assert sv.sum == pytest.approx(ref.sum, rel=1e-13)
+
+
+def test_non_finite_gap_integral_disables_the_majorant():
+    kern = CallableKernel(lambda t, s: 1.0 / np.sqrt(np.maximum(t - s, 0.0)),
+                          monotone_flag=True)
+    sv = series_function_I(kern, Lebesgue(), 1.0, 1.0, domain=DOM, level=5)
+    assert math.isinf(sv.sum)
+    # zero forcing: every term vanishes, but no tail can be certified
+    rb = resolvent_bound(0.0, kern, Lebesgue(), 1.0, 1.0, domain=DOM,
+                         level=5, n_cap=20)
+    assert rb.sum == 0.0 and not rb.converged and math.isinf(rb.tail_bound)
+
+
+# ---------------------------------------------------------------------------
+# suffix integrals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", list(range(2, 10)) + [65])
+def test_suffix_integrals_match_loop(m):
+    g = np.random.default_rng(m).uniform(0.1, 2.0, m)
+    W = range_weights_matrix(m)
+    np.testing.assert_allclose(_suffix_integrals(g, W),
+                               loop_suffix_integrals(g, W),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_suffix_integrals_infinite_entry():
+    g = np.random.default_rng(0).uniform(0.1, 2.0, 9)
+    g[4] = np.inf
+    Q = _suffix_integrals(g, range_weights_matrix(9))
+    assert np.all(np.isinf(Q[:5]))
+    np.testing.assert_allclose(Q[5:], loop_suffix_integrals(
+        g, range_weights_matrix(9))[5:], rtol=1e-13, atol=0.0)
+    assert Q[-1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# determinism across BLAS thread counts
+# ---------------------------------------------------------------------------
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["resolvent", "--config", "demos/configs/constant.json",
+     "--grid-level", "8"],
+    ["solve", "--problem", "volterra"],
+])
+def test_cli_stdout_identical_across_blas_threads(args):
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "volgron", *args],
+                              cwd=ROOT, env=env, capture_output=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0]) > 0
