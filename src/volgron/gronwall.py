@@ -28,6 +28,7 @@ from .quadrature import range_weights_matrix
 from .resolvent import (
     FractionalResolventParams,
     _density_on_nodes,
+    _ext_mul,
     _integrated_series,
     _sorted_atoms,
     _tail_factorial,
@@ -385,24 +386,22 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     u0_vals = np.asarray(u0f(nodes), dtype=float)
     v_t = inp.v_at(float(t), level=level)
 
-    ln_fact = lambda i: ln_gamma(i + 1.0)  # noqa: E731
-    w_n = (float(row @ (kcol * Q ** (n - 1) * u0_vals**p))
-           / math.exp(ln_fact(n - 1))) ** (1.0 / p)
-    sharp = v_t + w_n
-    for i in range(0, n - 1):
-        integ = float(row @ (kcol * Q**i * v_vals**p)) / math.exp(ln_fact(i))
-        sharp += max(integ, 0.0) ** (1.0 / p)
+    log_q = _log_q(Q)
+    row_k = _ext_mul(row, kcol)
+    w_n = _factorial_term(_ext_mul(row_k, u0_vals**p), log_q, n - 1, p)
+    row_kv = _ext_mul(row_k, v_vals**p)
+    sharp = sum((_factorial_term(row_kv, log_q, i, p)
+                 for i in range(0, n - 1)), v_t + w_n)
 
     sup_v0 = float(np.max(np.asarray(v0f(nodes), dtype=float)))
-    head = sum(math.exp((i * math.log(q) - ln_fact(i)) / p) if q > 0 else
-               (1.0 if i == 0 else 0.0) for i in range(0, n))
+    head = sum((math.exp((i * math.log(q) - ln_gamma(i + 1.0)) / p)
+                for i in range(1, n)), 1.0) if q > 0 else 1.0
     lser = 0.0
     if inp.l is not None:
         lcol = _col_pow(inp.l, nodes, float(t), p)
-        for i in range(0, n):
-            integ = float(row @ (Q**i * lcol)) / math.exp(ln_fact(i))
-            lser += max(integ, 0.0) ** (1.0 / p)
-    sup_form = sup_v0 * head + w_n + lser
+        row_l = _ext_mul(row, lcol)
+        lser = sum(_factorial_term(row_l, log_q, i, p) for i in range(0, n))
+    sup_form = (sup_v0 * head if sup_v0 > 0 else 0.0) + w_n + lser
     return sharp, sup_form, w_n
 
 
@@ -457,33 +456,54 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     v_t = inp.v_at(float(t), level=level)
     sup_v = float(np.max(v_vals))
 
+    # an infinite gap integral leaves no factorial majorant: each loop
+    # stops after its first term with an infinite tail
+    log_q = _log_q(Q)
+    row_kv = _ext_mul(row, _ext_mul(kcol, v_vals**p))
     sharp = v_t
     tail = math.inf
     for n in range(0, n_cap):
-        integ = float(row @ (kcol * Q**n * v_vals**p)) \
-            / math.exp(ln_gamma(n + 1.0))
-        sharp += max(integ, 0.0) ** (1.0 / p)
+        sharp += _factorial_term(row_kv, log_q, n, p)
         tail = sup_v * _tail_factorial(q, p, n + 2)
-        if tail < tol:
+        if tail < tol or not math.isfinite(q):
             break
 
     sup_v0 = float(np.max(np.asarray(inp.v0_fn()(nodes), dtype=float)))
     ml = mittag_leffler(MLParams(1.0, 1.0, p), q ** (1.0 / p), tol=1e-14)
-    head = sup_v0 * ml.sum
+    # sup v0 = 0 kills the Mittag-Leffler factor, even an infinite one
+    head, ml_tail = (sup_v0 * ml.sum, sup_v0 * ml.tail_bound) \
+        if sup_v0 > 0 else (0.0, 0.0)
     lser = 0.0
     ltail = 0.0
     if inp.l is not None:
         lcol = _col_pow(inp.l, nodes, float(t), p)
+        row_l = _ext_mul(row, lcol)
         int_l = float(row @ lcol)
         for n in range(0, n_cap):
-            integ = float(row @ (Q**n * lcol)) / math.exp(ln_gamma(n + 1.0))
-            lser += max(integ, 0.0) ** (1.0 / p)
+            lser += _factorial_term(row_l, log_q, n, p)
             ltail = int_l ** (1.0 / p) * _tail_factorial(q, p, n + 1)
-            if ltail < tol:
+            if ltail < tol or not math.isfinite(q):
                 break
     sup_form = head + lser
-    total_tail = tail + sup_v0 * ml.tail_bound + ltail
+    total_tail = tail + ml_tail + ltail
     return sharp, sup_form, total_tail
+
+
+def _log_q(Q: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(Q)
+
+
+def _factorial_term(row_f: np.ndarray, log_q: np.ndarray, n: int,
+                    p: float) -> float:
+    """(integral of f Q**n / n! over the lower set)**(1/p) from the row
+    weights times f and log Q: Q**n / n! is formed in log space and
+    products follow ``0 * inf = 0``."""
+    if n == 0:
+        return max(float(row_f.sum()), 0.0) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        weight = np.exp(n * log_q - ln_gamma(n + 1.0))
+    return max(float(_ext_mul(row_f, weight).sum()), 0.0) ** (1.0 / p)
 
 
 def gronwall_curve(inp: GronwallInput, ts: Sequence[float],

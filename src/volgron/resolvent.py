@@ -9,8 +9,8 @@ The resolvent sequence of a kernel k against a measure mu starts at
 On intervals the recursion is driven by composite range weights that are
 exact for cubics; discrete and void-ordered settings are exact sums;
 fractional kernels bypass grid quadrature entirely via a one-dimensional
-recursion in the gap variable, with gamma-function closed forms when the
-pole exponent ``beta`` vanishes.
+recursion on one homogeneous ratio profile per (alpha, beta, p), with
+gamma-function closed forms when the pole exponent ``beta`` vanishes.
 
 One interval layer costs one m x m matrix product plus O(m) work: the
 range weights are 1 inside long ranges, their end weights factor into
@@ -39,7 +39,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,9 +115,9 @@ class ResolventTable:
     domains entries with ``j > i`` are masked (stored as zero and guarded
     by the accessor).  Box tables index per axis:
     ``values[n-1, i1, i2, j1, j2]``.  ``err_est`` comes from a two-level
-    grid comparison and is 0 on exact (discrete, void, closed-form)
-    paths.  Finished tables are immutable by convention and safe to
-    share.
+    grid comparison (two gap-recursion profiles for fractional kernels
+    with a pole) and is 0 on exact (discrete, void, closed-form) paths.
+    Finished tables are immutable by convention and safe to share.
     """
 
     grid: QuadratureGrid
@@ -239,6 +239,14 @@ def _inf_hits(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     inf_a, inf_x = pos_a & np.isinf(A), pos_x & np.isinf(X)
     return (inf_a.astype(float) @ pos_x.astype(float)
             + pos_a.astype(float) @ inf_x.astype(float)) > 0
+
+
+def _ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``a * b`` of nonnegative arrays with 0 * inf = 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.multiply(a, b)
+    out[np.isnan(out)] = 0.0
+    return out
 
 
 def _ext_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -387,7 +395,7 @@ class FractionalResolventParams:
         x_min, _ = gamma_min_point()
         return max(1, math.ceil(x_min / self.gap))
 
-    @property
+    @cached_property
     def ln_c_hat_max(self) -> float:
         """log of the largest gamma-quotient product over all layer counts."""
         return max(self.ln_c_hat(i) for i in range(1, self.n_gamma + 1))
@@ -440,71 +448,81 @@ def _jacobi_rule(deg: int, a: float, b: float):
     return lam, w
 
 
-class _FractionalProfile:
-    """Per-column evaluator of fractional iterates sharing a fixed y.
+@lru_cache(maxsize=None)
+def _cheb_rule(deg: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points of the first kind and the matrix mapping values
+    there to the coefficients of their interpolant (discrete
+    orthogonality of T_0..T_{deg-1} on these points)."""
+    theta = math.pi * (2 * np.arange(deg) + 1) / (2 * deg)
+    fit = np.cos(np.outer(np.arange(deg), theta)) * (2.0 / deg)
+    fit[0] *= 0.5
+    return np.cos(theta), fit
 
-    Factors the n-th iterate as ``x**(alpha_p n - 1) * psi_n(x)``, which
-    makes psi_n analytic up to the left endpoint (the factored power is
-    the exact small-gap exponent), tabulates psi_n as a Chebyshev
-    interpolant in log x, and advances layer by layer with Gauss-Jacobi
-    quadrature whose weight absorbs both endpoint powers of the
-    recursion integral.  Only needed for beta > 0; beta = 0 has closed
-    forms.
+
+class _FractionalProfile:
+    """The iterates of a fractional kernel power at y = 1, in the ratio
+    r = x / y of the gap to the distance from the left endpoint.
+
+    The iterates are homogeneous, ``f_n(x, y) = y**(gap n - 1) F_n(x / y)``,
+    so one profile built up to the largest ratio ``r_max`` serves every
+    column of a table and every term of a series.  It factors
+    ``F_n(r) = r**(alpha_p n - 1) * psi_n(r)``, which leaves psi_n analytic
+    up to r = 0 (the factored power is the exact small-gap exponent),
+    tabulates psi_n as a Chebyshev interpolant in log r over
+    ``[log r_max - WIDTH, log r_max]`` and advances one layer at a time by
+
+        psi_{n+1}(r) = integral over [0, 1] of (1 - lam)**(alpha_p - 1)
+                       * lam**(alpha_p n - 1) * (1 + lam r)**(-beta_p)
+                       * psi_n(lam r) d lam,
+
+    with a Gauss-Jacobi rule whose weight absorbs both endpoint powers.
+    Only needed for beta > 0; beta = 0 has closed forms.
     """
 
     _WIDTH = 50.0
 
-    def __init__(self, params: FractionalResolventParams, y: float,
-                 x_max: float, n_max: int, deg: int = 96,
-                 jacobi_nodes: int = 192):
-        if y <= 0 or x_max <= 0:
-            raise ValueError("profile needs y > 0 and x_max > 0")
+    def __init__(self, params: FractionalResolventParams, r_max: float,
+                 deg: int = 96, jacobi_nodes: int = 192):
+        if not r_max > 0:
+            raise ValueError("profile needs r_max > 0")
         self.params = params
-        self.y = y
-        self.n_max = n_max
-        self.u_hi = math.log(x_max)
+        self.u_hi = math.log(r_max)
         self.u_lo = self.u_hi - self._WIDTH
-        self.deg = deg
         self.jacobi_nodes = jacobi_nodes
-        self._coefs: list = [None] * (n_max + 1)
-        self._build()
+        xc, self._fit = _cheb_rule(deg)
+        self._rs = np.exp(0.5 * ((self.u_hi + self.u_lo)
+                                 + (self.u_hi - self.u_lo) * xc))
+        self._coefs: list = [None, np.array([1.0])]
 
-    def _to_unit(self, u: np.ndarray) -> np.ndarray:
-        return (2.0 * u - (self.u_lo + self.u_hi)) / (self.u_hi - self.u_lo)
+    @property
+    def n_layers(self) -> int:
+        return len(self._coefs) - 1
 
-    def _psi_at(self, n: int, x: np.ndarray) -> np.ndarray:
+    def _psi_at(self, n: int, r: np.ndarray) -> np.ndarray:
         # psi tends to a constant at the left end, so the clamp is benign
-        u = np.clip(np.log(np.maximum(x, 1e-300)), self.u_lo, self.u_hi)
-        return _cheb.chebval(self._to_unit(u), self._coefs[n])
+        u = np.clip(np.log(np.maximum(r, 1e-300)), self.u_lo, self.u_hi)
+        unit = (2.0 * u - (self.u_lo + self.u_hi)) / (self.u_hi - self.u_lo)
+        return _cheb.chebval(unit, self._coefs[n])
 
-    def _build(self):
-        ap = self.params.alpha_p
-        bp = self.params.beta_p
-        k = np.arange(self.deg)
-        xc = np.cos(math.pi * (2 * k + 1) / (2 * self.deg))
-        u_nodes = 0.5 * ((self.u_hi + self.u_lo) + (self.u_hi - self.u_lo) * xc)
-        xs = np.exp(u_nodes)
-        psi = np.full(self.deg, self.y ** (-bp))
-        self._coefs[1] = _cheb.chebfit(xc, psi, self.deg - 1)
-        for n in range(1, self.n_max):
-            tau_n = ap * n - 1.0
-            lam, w = _jacobi_rule(self.jacobi_nodes, ap - 1.0, tau_n)
-            z = lam[:, None] * xs[None, :]
-            psi_z = self._psi_at(n, z)
-            factor = (z + self.y) ** (-bp)
-            psi_next = w @ (factor * psi_z)
-            self._coefs[n + 1] = _cheb.chebfit(xc, psi_next, self.deg - 1)
+    def advance(self) -> None:
+        """Add the next layer."""
+        ap, bp = self.params.alpha_p, self.params.beta_p
+        n = self.n_layers
+        lam, w = _jacobi_rule(self.jacobi_nodes, ap - 1.0, ap * n - 1.0)
+        z = lam[:, None] * self._rs[None, :]
+        psi_next = w @ ((1.0 + z) ** (-bp) * self._psi_at(n, z))
+        self._coefs.append(self._fit @ psi_next)
 
-    def f(self, n: int, x) -> np.ndarray:
-        """The n-th iterate at gap values x (vectorised)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def f(self, n: int, x, y) -> np.ndarray:
+        """The n-th iterate at gaps x > 0 and distances y > 0
+        (vectorised, ``x / y <= r_max``)."""
+        while self.n_layers < n:
+            self.advance()
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
         tau = self.params.alpha_p * n - 1.0
-        out = np.empty_like(x)
-        pos = x > 0
-        out[pos] = x[pos] ** tau * self._psi_at(n, x[pos])
-        if np.any(~pos):
-            out[~pos] = _gap_limit(self.params, n, self.y)
-        return out
+        return (x**tau * y ** (-self.params.beta_p * n)
+                * self._psi_at(n, x / y))
 
 
 def _gap_limit(params: FractionalResolventParams, n: int, y: float) -> float:
@@ -530,6 +548,49 @@ def _beta_val(a: float, b: float) -> float:
     return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
 
+# (Chebyshev degree, Jacobi nodes) of the two profiles behind a table: the
+# values come from the second, err_est is their largest difference
+_TABLE_RULES = ((96, 160), (128, 224))
+
+
+def _gap_tables(params: FractionalResolventParams, z: np.ndarray, z0: float,
+                n_max: int) -> Tuple[np.ndarray, float]:
+    """Layers ``f_n(z_i - z_j, z_j - z0)`` on the lower triangle of
+    increasing coordinates z, and their quadrature error estimate.
+
+    Columns with ``z_j <= z0`` sit on the pole of the ``(s - t0)`` weight
+    and are infinite; diagonals take the small-gap limit.  The strict
+    triangle reads one lo and one hi profile, each built once up to the
+    largest ratio on the grid (``_TABLE_RULES``).
+    """
+    m = z.size
+    y = z - z0
+    live = y > 0
+    layers = np.zeros((n_max, m, m))
+    layers[:, _tril_mask(m) & ~live[None, :]] = np.inf
+    cols = np.flatnonzero(live)
+    for n in range(1, n_max + 1):
+        # the small-gap limit is 0, inf, or a constant times y**(-bp n)
+        layers[n - 1, cols, cols] = (_gap_limit(params, n, 1.0)
+                                     * y[cols] ** (-params.beta_p * n))
+    ii, jj = np.nonzero(np.tril(_tril_mask(m) & live[None, :], -1))
+    if ii.size == 0:
+        return layers, 0.0
+    xs, ys = z[ii] - z[jj], y[jj]
+    r_max = float(np.max(xs / ys))
+    lo, hi = (_FractionalProfile(params, r_max, deg, nodes)
+              for deg, nodes in _TABLE_RULES)
+    err = 0.0
+    for n in range(1, n_max + 1):
+        vals = hi.f(n, xs, ys)
+        layers[n - 1, ii, jj] = vals
+        diff = np.abs(vals - lo.f(n, xs, ys))
+        finite = np.isfinite(diff)
+        if np.any(finite):
+            err = max(err, float(np.max(diff[finite])))
+    return layers, err
+
+
 def _count_vectors(n: int, N: int):
     """All nonnegative integer vectors of length N summing to n."""
     if N == 1:
@@ -541,14 +602,18 @@ def _count_vectors(n: int, N: int):
 
 
 def _transformed_layers(kernel: TransformedFractionalKernel, p, nodes,
-                        n_max, budget: int = 100_000) -> np.ndarray:
-    """Iterates of a transformed fractional sum kernel.
+                        n_max, budget: int = 100_000
+                        ) -> Tuple[np.ndarray, float]:
+    """Iterates of a transformed fractional sum kernel, and their error
+    estimate.
 
     Transporting by the increasing map reduces every layer to the gap
     recursion; with all pole exponents zero the multi-index components
-    collapse into a multinomial sum of gamma quotients, otherwise the
-    single-part recursion is integrated numerically (several singular
-    parts are not supported).  The transported setting holds for p = 1.
+    collapse into a multinomial sum of gamma quotients (exact), otherwise
+    the single-part layers are the gap tables of ``_gap_tables`` in phi
+    coordinates scaled by ``phi_dot`` of the inner argument (several
+    singular parts are not supported).  The transported setting holds for
+    p = 1.
     """
     if p != 1.0:
         raise NotImplementedError(
@@ -592,7 +657,7 @@ def _transformed_layers(kernel: TransformedFractionalKernel, p, nodes,
             # inf * 0 at a vanishing-derivative node follows the
             # measure-theoretic convention
             layers[n - 1] = np.where(np.isnan(prod), 0.0, prod)
-        return layers
+        return layers, 0.0
 
     if N != 1:
         raise NotImplementedError(
@@ -600,20 +665,9 @@ def _transformed_layers(kernel: TransformedFractionalKernel, p, nodes,
             "setting; decompose with sum_decomposition instead"
         )
     params = FractionalResolventParams(kernel.alphas[0], kernel.betas[0], 1.0)
-    for j in range(m):
-        y = phi[j] - phi0
-        if y <= 0:
-            layers[:, j:, j] = np.inf
-            continue
-        for n in range(1, n_max + 1):
-            layers[n - 1, j, j] = dot[j] * _gap_limit(params, n, y)
-        xs = phi[j + 1:] - phi[j]
-        if xs.size == 0:
-            continue
-        prof = _FractionalProfile(params, y, float(xs[-1]), n_max)
-        for n in range(1, n_max + 1):
-            layers[n - 1, j + 1:, j] = dot[j] * prof.f(n, xs)
-    return layers
+    gap, err = _gap_tables(params, phi, phi0, n_max)
+    dot_max = float(np.max(dot, initial=0.0, where=np.isfinite(dot)))
+    return _ext_mul(gap, dot[None, None, :]), err * dot_max
 
 
 def fractional_f(params: FractionalResolventParams, n: int,
@@ -627,7 +681,8 @@ def fractional_f(params: FractionalResolventParams, n: int,
         gamma(alpha_p)**n / gamma(alpha_p * n) * x**(alpha_p * n - 1);
 
     otherwise the defining recursion is integrated layer by layer with
-    singularity-absorbing quadrature.
+    singularity-absorbing quadrature, on the ratio profile of
+    ``_FractionalProfile`` up to ``x / y``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -644,14 +699,11 @@ def fractional_f(params: FractionalResolventParams, n: int,
         return math.inf
     if x == 0.0:
         return _gap_limit(params, n, y)
-    if n == 1:
-        return x ** (params.alpha_p - 1.0) * y ** (-bp)
-    prof = _FractionalProfile(params, y, x, n)
-    return float(prof.f(n, x)[0])
+    return float(_FractionalProfile(params, x / y).f(n, x, y))
 
 
-def _fractional_layers(kernel: FractionalKernel, p, nodes, n_max,
-                       jacobi_nodes: int = 160) -> Tuple[np.ndarray, float]:
+def _fractional_layers(kernel: FractionalKernel, p, nodes,
+                       n_max) -> Tuple[np.ndarray, float]:
     params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
     m = nodes.size
     layers = np.zeros((n_max, m, m))
@@ -668,32 +720,7 @@ def _fractional_layers(kernel: FractionalKernel, p, nodes, n_max,
             np.fill_diagonal(vals, _gap_limit(params, n, 1.0))
             layers[n - 1] = vals
         return layers, 0.0
-
-    err = 0.0
-    for j in range(m):
-        y = nodes[j] - kernel.t0
-        if y <= 0:
-            # the column sits on the pole of the (s - t0) weight
-            layers[:, j:, j] = np.inf
-            continue
-        np_col = nodes[j + 1:] - nodes[j]
-        for n in range(1, n_max + 1):
-            layers[n - 1, j, j] = _gap_limit(params, n, y)
-        if np_col.size == 0:
-            continue
-        x_top = float(np_col[-1])
-        prof_lo = _FractionalProfile(params, y, x_top, n_max,
-                                     jacobi_nodes=jacobi_nodes)
-        prof_hi = _FractionalProfile(params, y, x_top, n_max,
-                                     jacobi_nodes=jacobi_nodes + 64)
-        for n in range(1, n_max + 1):
-            vals = prof_hi.f(n, np_col)
-            layers[n - 1, j + 1:, j] = vals
-            lo = prof_lo.f(n, np_col)
-            finite = np.isfinite(vals) & np.isfinite(lo)
-            if np.any(finite):
-                err = max(err, float(np.max(np.abs(vals[finite] - lo[finite]))))
-    return layers, err
+    return _gap_tables(params, nodes, kernel.t0, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +799,10 @@ def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
         if not isinstance(measure, Lebesgue):
             raise TypeError("transformed fractional tables hold for "
                             "Lebesgue measure")
-        layers = _transformed_layers(kernel, p, grid.nodes, n_max)
+        layers, err = _transformed_layers(kernel, p, grid.nodes, n_max)
         status = "exact" if all(b == 0 for b in kernel.betas) else "certified"
         return ResolventTable(
-            grid=grid, n_max=n_max, p=p, values=layers, err_est=0.0,
+            grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
             measure=measure, ordered=True, family="transformed-fractional",
             status=status,
         )
@@ -894,6 +921,8 @@ def _tail_factorial(q: float, p: float, n_start: int,
     """Upper bound for sum over n >= n_start of (q**n / n!)**(1/p)."""
     if q == 0.0:
         return 0.0
+    if not math.isfinite(q):
+        return math.inf
     total = 0.0
     term = math.exp((n_start * math.log(q) - ln_gamma(n_start + 1.0)) / p)
     n = n_start
@@ -983,7 +1012,8 @@ def _column_operator(kernel, measure, p, s, t, level):
     """Recursion operator B and first column over a grid spanning [s, t].
 
     Returns (nodes, B, rho_1) with rho_1[l] = k(node_l, s)**p and
-    B @ rho advancing one layer.
+    B @ rho advancing one layer.  B follows ``0 * inf = 0``: a kernel
+    infinite where its weight vanishes contributes nothing.
     """
     if isinstance(measure, DiscreteMeasure):
         pts, masses = _sorted_atoms(measure)
@@ -992,15 +1022,18 @@ def _column_operator(kernel, measure, p, s, t, level):
         if nodes.size == 0 or not np.isclose(nodes[-1], t):
             nodes = np.append(nodes, t)
             masses = np.append(masses, 0.0)
-        m = nodes.size
-        kp = _kp_triangle(kernel, nodes, p)
-        B = kp * masses[None, :]
+        weights = (masses[None, :],)
     else:
         seg = Interval1D(float(s), float(t))
         nodes = QuadratureGrid.for_interval(seg, level).nodes
-        dens = _density_on_nodes(measure, nodes)
-        kp = _kp_triangle(kernel, nodes, p)
-        B = (kp * dens[None, :]) * range_weights_matrix(nodes.size)
+        weights = (_density_on_nodes(measure, nodes)[None, :],
+                   range_weights_matrix(nodes.size))
+    # _ext_mul in place: a fresh m x m temporary costs more than the product
+    B = _kp_triangle(kernel, nodes, p)
+    with np.errstate(invalid="ignore"):
+        for w in weights:
+            B *= w
+    B[np.isnan(B)] = 0.0
     rho_1 = kernel.eval_grid(nodes, np.full(nodes.size, float(s)))
     with np.errstate(invalid="ignore", over="ignore"):
         rho_1 = rho_1**p
@@ -1017,7 +1050,8 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     the void case, Mittag-Leffler majorants for fractional kernels, and
     the exponential closed form for kernels of multiplicative type.  A
     provably divergent series returns ``inf`` (converged, zero tail); a
-    kernel with no recognised majorant returns the truncated sum with
+    kernel with no recognised majorant, or whose grid terms turn infinite
+    while ``k(t, s)**p`` is finite, returns the truncated sum with
     ``converged=False``.
     """
     if tol <= 0:
@@ -1049,9 +1083,13 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
         y = float(s) - kernel.t0
         if x <= 0:
             raise ValueError("need s < t for fractional kernels")
+        # beta > 0: one profile, advanced one layer per term
+        prof = (_FractionalProfile(params, x / y)
+                if params.beta_p > 0 and y > 0 else None)
         total = 0.0
         for n in range(1, n_cap + 1):
-            term = fractional_f(params, n, x, y)
+            term = (float(prof.f(n, x, y)) if prof is not None
+                    else fractional_f(params, n, x, y))
             if math.isinf(term):
                 return SeriesValue(math.inf, 0.0, n, True)
             total += term
@@ -1071,14 +1109,19 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     use_level = level + 1 if not isinstance(measure, DiscreteMeasure) else level
     nodes, B, rho = _column_operator(kernel, measure, p, float(s), float(t),
                                      use_level)
-    q = float(B[-1].sum())
+    q = float(_ext_matmul(B, np.ones(nodes.size))[-1])
     majorant_ok = (kernel.monotone and math.isfinite(q)
                    and not isinstance(measure, DiscreteMeasure))
     total = 0.0
     for n in range(1, n_cap + 1):
         term = float(rho[-1])
         if not math.isfinite(term):
-            return SeriesValue(math.inf, 0.0, n, True)
+            if math.isinf(kp_at):
+                # the resolvent dominates its first iterate
+                return SeriesValue(math.inf, 0.0, n, True)
+            # an infinite grid term of a finite kernel value is a
+            # quadrature artefact (a singular kernel), not a divergence
+            return SeriesValue(total, math.inf, n - 1, False)
         total += term
         if majorant_ok:
             tail = kp_at * _tail_factorial(q, 1.0, n)
@@ -1087,7 +1130,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
         elif term < tol * 1e-3 and n > 3:
             # no recognised majorant: truncate when terms stall, unconverged
             return SeriesValue(total, math.inf, n, False)
-        rho = B @ rho
+        rho = _ext_matmul(B, rho)
     return SeriesValue(total, math.inf, n_cap, False)
 
 
