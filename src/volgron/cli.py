@@ -5,7 +5,8 @@ Subcommands: ``ml`` (generalised Mittag-Leffler values), ``resolvent``
 (bound curves), ``solve`` (built-in fixed-point problems with
 iterate-error tables) and ``selftest`` (the acceptance suite).  Outputs
 are CSV or JSON with 17-significant-digit floats and sorted keys, so
-identical invocations produce identical bytes.
+identical invocations produce identical bytes.  Resolvent tables are
+written chunk by chunk as they are formatted, never held as one string.
 
 Exit codes: 0 on success, 1 on configuration errors (unknown subcommand,
 malformed configuration, unreadable file), 2 on numerical failure where
@@ -17,10 +18,11 @@ variable when it is set.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -99,15 +101,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write text chunks as they come, to stdout or to the ``--out`` file."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     base = os.environ.get("VOLGRON_OUT_DIR")
     if base and not os.path.isabs(out):
         out = os.path.join(base, out)
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _cmd_ml(args) -> int:
@@ -118,7 +121,7 @@ def _cmd_ml(args) -> int:
     text = ("value,tail_bound,terms,converged\n"
             f"{_fmt(sv.sum)},{_fmt(sv.tail_bound)},{sv.terms_used},"
             f"{str(sv.converged).lower()}\n")
-    _write(text, args.out)
+    _write([text], args.out)
     if not sv.converged:
         return 2
     return 0
@@ -152,8 +155,10 @@ def _cmd_resolvent(args) -> int:
                             "discrete configuration")
         grid = QuadratureGrid.for_box(cfg.domain, level)
     table = iterated_kernels(cfg.kernel, cfg.measure, p, n, grid)
-    text = table.to_csv() if args.output == "csv" else table.to_json() + "\n"
-    _write(text, args.out)
+    if args.output == "csv":
+        _write(table.iter_csv(), args.out)
+    else:
+        _write(itertools.chain(table.iter_json(), ["\n"]), args.out)
     return 0
 
 
@@ -177,7 +182,7 @@ def _cmd_gronwall(args) -> int:
         ts = np.linspace(cfg.domain.lo, cfg.domain.hi,
                          args.points + 1)[1:].tolist()
     curve = gronwall_curve(inp, ts, level=args.grid_level)
-    _write(curve.to_csv(), args.out)
+    _write([curve.to_csv()], args.out)
     return 0 if np.all(np.isfinite(curve.sharp)) else 2
 
 
@@ -207,7 +212,7 @@ def _cmd_solve(args) -> int:
             measured = profile[j * stride] if prob.spec.ordered else profile[j]
             lines.append(f"{n},{_fmt(t)},{_fmt(float(measured))},"
                          f"{_fmt(cert.bound(n, j))}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
     return 0 if cert.converged else 2
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .domains import Interval1D, QuadratureGrid, VoidSet
-from .kernels import FractionalKernel, Kernel, VoidKernel
+from .kernels import FractionalKernel, Kernel, VoidKernel, _as_fn
 from .measures import DiscreteMeasure, MeasureSpec
 from .quadrature import range_weights_matrix
 from .resolvent import (
@@ -50,13 +50,6 @@ __all__ = [
     "InductionReport",
     "fractional_box_sup_bound",
 ]
-
-
-def _as_fn(f: Union[float, Callable]) -> Callable:
-    if callable(f):
-        return f
-    c = float(f)
-    return lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=float)
 
 
 @dataclass(frozen=True)

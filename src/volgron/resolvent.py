@@ -35,12 +35,11 @@ requested).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -54,6 +53,7 @@ from .kernels import (
     ProductKernel,
     TransformedFractionalKernel,
     VoidKernel,
+    _leq_points,
 )
 from .measures import (
     DiscreteMeasure,
@@ -153,42 +153,85 @@ class ResolventTable:
             raise IndexError(f"layer {n} outside 1..{self.n_max}")
         return self.values[n - 1]
 
-    def _rows(self):
-        if self.values.ndim == 3:
-            nodes = self.nodes
-            m = nodes.size
-            for n in range(1, self.n_max + 1):
-                for i in range(m):
-                    top = m if not self.ordered else i + 1
-                    for j in range(top):
-                        yield (n, (nodes[i],), (nodes[j],),
-                               float(self.values[n - 1, i, j]))
-        else:
-            a1, a2 = self.grid.axes
-            for n in range(1, self.n_max + 1):
-                for i1 in range(a1.size):
-                    for i2 in range(a2.size):
-                        for j1 in range(i1 + 1):
-                            for j2 in range(i2 + 1):
-                                yield (n, (a1[i1], a2[i2]), (a1[j1], a2[j2]),
-                                       float(self.values[n - 1, i1, i2, j1, j2]))
+    def _chunks(self, as_json: bool) -> Iterator[str]:
+        """Entry text in table order, one chunk per layer and first index.
 
-    def to_csv(self) -> str:
+        Node strings are formatted once.  Each chunk is one %-template,
+        built by joining those strings, filled with its block of values in
+        one formatting call.  An entry reads ``head + s + tail``: the
+        coordinates ``s`` vary fastest, and ``head``/``tail`` carry the
+        layer, the point t and the value placeholder.
+        """
+        if as_json:
+            num, coord_sep, entry_sep = float.__repr__, ", ", ", "
+
+            def frame(n, t):
+                return ('{"n": %d, "s": [' % n,
+                        '], "t": [%s], "value": %%s}' % t)
+        else:
+            num, coord_sep, entry_sep = "%.17g".__mod__, ",", ""
+
+            def frame(n, t):
+                return f"{n},{t},", ",%.17g\n"
+
+        def fill(template: str, block: np.ndarray) -> str:
+            vals = block.astype(float, copy=False).tolist()
+            if as_json and not np.isfinite(block).all():
+                # json spells non-finite floats Infinity, -Infinity, NaN
+                vals = [v if math.isfinite(v) else json.dumps(v) for v in vals]
+            return template % tuple(vals)
+
+        axes = [[num(x) for x in a] for a in self.grid.axes]
+        lead = ""
+        if self.values.ndim == 3:
+            (ax,) = axes
+            m = len(ax)
+            for n in range(1, self.n_max + 1):
+                layer = self.values[n - 1]
+                for i in range(m):
+                    top = i + 1 if self.ordered else m
+                    head, tail = frame(n, ax[i])
+                    template = (lead + head
+                                + (tail + entry_sep + head).join(ax[:top]) + tail)
+                    yield fill(template, layer[i, :top])
+                    lead = entry_sep
+            return
+        a1, a2 = axes
+        pairs = [[s1 + coord_sep + s2 for s2 in a2] for s1 in a1]
+        m2 = len(a2)
+        # below[i2, 0, j2]: j2 <= i2, broadcast over j1
+        below = np.tri(m2, dtype=bool)[:, None, :]
+        for n in range(1, self.n_max + 1):
+            layer = self.values[n - 1]
+            for i1 in range(len(a1)):
+                rows = []
+                for i2 in range(m2):
+                    head, tail = frame(n, a1[i1] + coord_sep + a2[i2])
+                    joint = tail + entry_sep + head
+                    rows.append(head + joint.join(
+                        [joint.join(row[:i2 + 1]) for row in pairs[:i1 + 1]])
+                        + tail)
+                block = layer[i1, :, :i1 + 1, :]
+                template = lead + entry_sep.join(rows)
+                yield fill(template, block[np.broadcast_to(below, block.shape)])
+                lead = entry_sep
+
+    def iter_csv(self) -> Iterator[str]:
+        """The CSV text of ``to_csv`` in chunks."""
         ndim = len(self.grid.axes)
         if ndim == 1:
             heads = ["n", "t", "s", "value"]
         else:
             heads = (["n"] + [f"t{k+1}" for k in range(ndim)]
                      + [f"s{k+1}" for k in range(ndim)] + ["value"])
-        out = io.StringIO()
-        out.write(",".join(heads) + "\n")
-        for n, t, s, v in self._rows():
-            cells = [str(n)] + [f"{x:.17g}" for x in t] + [f"{x:.17g}" for x in s]
-            cells.append(f"{v:.17g}")
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        yield ",".join(heads) + "\n"
+        yield from self._chunks(as_json=False)
 
-    def to_json(self) -> str:
+    def to_csv(self) -> str:
+        return "".join(self.iter_csv())
+
+    def iter_json(self) -> Iterator[str]:
+        """The JSON text of ``to_json`` in chunks."""
         payload = {
             "n_max": self.n_max,
             "p": self.p,
@@ -196,12 +239,16 @@ class ResolventTable:
             "status": self.status,
             "err_est": self.err_est,
             "axes": [list(map(float, a)) for a in self.grid.axes],
-            "entries": [
-                {"n": n, "t": list(t), "s": list(s), "value": v}
-                for n, t, s, v in self._rows()
-            ],
+            "entries": [],
         }
-        return json.dumps(payload, sort_keys=True)
+        head, tail = json.dumps(payload, sort_keys=True).split(
+            '"entries": []', 1)
+        yield head + '"entries": ['
+        yield from self._chunks(as_json=True)
+        yield "]" + tail
+
+    def to_json(self) -> str:
+        return "".join(self.iter_json())
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +775,16 @@ def _fractional_layers(kernel: FractionalKernel, p, nodes,
 # ---------------------------------------------------------------------------
 
 
+def _two_level_err(fine: np.ndarray, coarse: np.ndarray) -> float:
+    """Largest difference of two grid levels where both are finite; inf
+    when no entry is."""
+    finite = np.isfinite(fine) & np.isfinite(coarse)
+    if not finite.any():
+        return math.inf
+    diff = np.subtract(fine, coarse, out=np.zeros_like(coarse), where=finite)
+    return float(np.abs(diff, out=diff).max())
+
+
 def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
                      n_max: int, grid: Optional[QuadratureGrid] = None,
                      estimate_error: bool = True) -> ResolventTable:
@@ -813,9 +870,7 @@ def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
     if estimate_error:
         fine = _interval_layers(kernel, measure, p, grid.refine().nodes, n_max)
         fine_restricted = fine[:, ::2, ::2]
-        diff = np.abs(fine_restricted - layers)
-        finite = np.isfinite(fine_restricted) & np.isfinite(layers)
-        err = float(diff[finite].max()) if np.any(finite) else math.inf
+        err = _two_level_err(fine_restricted, layers)
         layers = fine_restricted
         if not math.isfinite(err):
             status = "unknown-accuracy"
@@ -880,9 +935,7 @@ def _box_iterated(kernel, measure, p, n_max, grid, estimate_error):
         coarse_grid = QuadratureGrid.for_box(box, grid.level - 1)
         coarse = _box_layers(kernel, measure, p, coarse_grid, n_max)
         fine_r = layers[:, ::2, ::2, ::2, ::2]
-        diff = np.abs(fine_r - coarse)
-        finite = np.isfinite(fine_r) & np.isfinite(coarse)
-        err = float(diff[finite].max()) if np.any(finite) else math.inf
+        err = _two_level_err(fine_r, coarse)
     elif not estimate_error:
         status = "unknown-accuracy"
     return ResolventTable(
@@ -990,10 +1043,6 @@ def _tail_fractional_series(params: FractionalResolventParams, X: float,
 # ---------------------------------------------------------------------------
 
 
-def _leq_scalar(s, t) -> bool:
-    return bool(np.all(np.asarray(s, dtype=float) <= np.asarray(t, dtype=float)))
-
-
 def _void_q(kernel: VoidKernel, measure: DiscreteMeasure, p: float) -> float:
     pts = measure.points
     vals = np.asarray(kernel.k1(pts), dtype=float)
@@ -1066,7 +1115,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
             return SeriesValue(math.inf, 0.0, 0, True)
         return SeriesValue(base / (1.0 - q), 0.0, 1, True)
 
-    if not _leq_scalar(s, t):
+    if not _leq_points(s, t):
         raise ValueError("need s <= t")
 
     if isinstance(kernel, MultiplicativeKernel):
@@ -1330,7 +1379,7 @@ def sum_decomposition(parts: Sequence[Kernel], measure: MeasureSpec, n: int,
         raise ComponentBudgetError(
             f"{N}**{n} = {N**n} components exceed the budget {budget}"
         )
-    if not _leq_scalar(s, t):
+    if not _leq_points(s, t):
         raise ValueError("need s <= t")
 
     ops = [_column_operator(k, measure, 1.0, float(s), float(t), level)

@@ -11,16 +11,15 @@ strictly increasing, the term ratios are eventually strictly decreasing,
 so once a ratio drops below 1/2 the tail is bounded by twice the last
 term.
 
-Log-gamma and digamma themselves are standard and delegated to the
-platform libm / scipy; their contracts are pinned by the tests.
+Log-gamma comes from the platform libm.  Digamma is delegated to
+``scipy.special``, imported on its first call, so importing this module
+does not load scipy.  Their contracts are pinned by the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import digamma as _scipy_digamma
 
 __all__ = [
     "ln_gamma",
@@ -56,30 +55,24 @@ def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function for x > 0."""
     if x <= 0:
         raise ValueError(f"digamma requires a positive argument, got {x}")
-    return float(_scipy_digamma(x))
+    from scipy.special import digamma as scipy_digamma
+
+    return float(scipy_digamma(x))
 
 
-_GAMMA_MIN: tuple[float, float] | None = None
+# The root of digamma in (1, 2), as 200 bisection steps on scipy's digamma
+# locate it, and exp(ln_gamma) there; pinned against both by the tests.
+_GAMMA_MIN_X = 1.4616321449683625
+_GAMMA_MIN_VALUE = 0.8856031944108883
 
 
 def gamma_min_point() -> tuple[float, float]:
     """Global minimum of the gamma function on (0, inf).
 
-    Located as the unique root of digamma in (1, 2) by bisection; returns
-    the minimiser and the gamma value there.
+    Returns the minimiser, the unique root of digamma in (1, 2), and the
+    gamma value there.
     """
-    global _GAMMA_MIN
-    if _GAMMA_MIN is None:
-        lo, hi = 1.0, 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if digamma(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        _GAMMA_MIN = (x, math.exp(ln_gamma(x)))
-    return _GAMMA_MIN
+    return _GAMMA_MIN_X, _GAMMA_MIN_VALUE
 
 
 @dataclass(frozen=True)
