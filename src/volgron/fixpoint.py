@@ -30,16 +30,13 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domains import Interval1D, QuadratureGrid, VoidSet
+from .domains import Interval1D, VoidSet
 from .kernels import FractionalKernel, Kernel, VoidKernel
 from .measures import DiscreteMeasure, Lebesgue, MeasureSpec
-from .quadrature import range_weights_matrix
 from .resolvent import (
     FractionalResolventParams,
-    _density_on_nodes,
+    GridOperator,
     _ext_matmul,
-    _kp_triangle,
-    _layer_update,
     _sorted_atoms,
     _tail_factorial,
     _tail_fractional_series,
@@ -193,14 +190,10 @@ def lipschitz_profile(lambda_kernel: Kernel, measure: MeasureSpec, p: float,
         return val ** (1.0 / p)
     if float(t) <= domain.lo:
         return 0.0  # null lower set
-    nodes = QuadratureGrid.for_interval(Interval1D(domain.lo, float(t)),
-                                        level).nodes
-    dens = _density_on_nodes(measure, nodes)
-    W = range_weights_matrix(nodes.size)
-    vals = lambda_kernel.eval_grid(np.full(nodes.size, float(t)), nodes)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = vals**p
-    total = float(W[-1] * dens @ np.where(np.isfinite(vals), vals, np.inf))
+    op = GridOperator.on_interval(lambda_kernel, measure, p, domain.lo, t,
+                                  level)
+    vals = op.kernel_row()
+    total = op.row_integral(np.where(np.isfinite(vals), vals, np.inf))
     return total ** (1.0 / p) if math.isfinite(total) else math.inf
 
 
@@ -324,21 +317,16 @@ def _interval_certificate(spec, w0: np.ndarray, n_layers: int,
             "monotone, fractional with beta = 0, or void-ordered"
         )
 
-    dens = _density_on_nodes(measure, cnodes)
-    W = range_weights_matrix(m)
-    kp = _kp_triangle(kern, cnodes, p)
-    A = kp * dens[None, :]
-    w0p = cw0**p
-    weighted = dens * w0p
+    # by Fubini the layer integrals g_i = integral of R_i(t, s) w0(s)**p
+    # advance by g_1 = B w0**p and g_{i+1} = B g_i
+    op = GridOperator.on_nodes(kern, measure, p, cnodes)
+    q_prof = op.column(np.ones(m))
     b = np.empty((n_layers, m))
-    layer = kp
-    q_prof = (W * kp) @ dens
-    for i in range(1, n_layers + 1):
-        with np.errstate(invalid="ignore"):
-            integ = (W * layer) @ weighted
-        b[i - 1] = np.maximum(integ, 0.0) ** (1.0 / p)
-        if i < n_layers:
-            layer = _layer_update(A, layer, W)
+    g = op.column(cw0**p)
+    for i in range(n_layers):
+        b[i] = np.maximum(g, 0.0) ** (1.0 / p)
+        if i + 1 < n_layers:
+            g = op.column(g)
     lam0 = np.where(q_prof > 0, q_prof, 0.0) ** (1.0 / p)
     sup_w0 = np.maximum.accumulate(cw0)
     tail = np.array([

@@ -21,17 +21,17 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .domains import Interval1D, QuadratureGrid, VoidSet
+from .domains import Interval1D, VoidSet
 from .kernels import FractionalKernel, Kernel, VoidKernel, _as_fn
 from .measures import DiscreteMeasure, MeasureSpec
-from .quadrature import range_weights_matrix
 from .resolvent import (
     FractionalResolventParams,
-    _density_on_nodes,
+    GridOperator,
     _ext_mul,
     _integrated_series,
     _sorted_atoms,
     _tail_factorial,
+    _tail_fractional_series,
     _void_q,
     fractional_inequality_constant,
 )
@@ -104,9 +104,9 @@ class GronwallInput:
             return base + q_l ** (1.0 / self.p)
         if float(t) <= self.domain.lo:
             return base  # the lower set is null
-        nodes, dens, W = _grid_data(self.domain.lo, t, self.measure, level)
-        lcol = _col_pow(self.l, nodes, t, self.p)
-        return base + float(W[-1] * dens @ lcol) ** (1.0 / self.p)
+        op = GridOperator.on_interval(self.l, self.measure, self.p,
+                                      self.domain.lo, t, level)
+        return base + op.row_integral(op.kernel_row()) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -135,47 +135,6 @@ class BoundCurve:
 class VanishingReport:
     vanishes: bool
     criterion: str
-
-
-def _grid_data(lo: float, t: float, measure, level: int):
-    nodes = QuadratureGrid.for_interval(Interval1D(lo, float(t)), level).nodes
-    dens = _density_on_nodes(measure, nodes)
-    W = range_weights_matrix(nodes.size)
-    return nodes, dens, W
-
-
-def _col_pow(kernel: Kernel, nodes: np.ndarray, t: float, p: float) -> np.ndarray:
-    vals = kernel.eval_grid(np.full(nodes.size, float(t)), nodes)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return vals**p
-
-
-def _suffix_integrals(g: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Q[j] = integral over [s_j, t] of g, via the range weights.
-
-    With interior weight 1, Q is a reverse cumulative sum; ranges of six
-    or more panels then correct their three end weights at each end, and
-    shorter ranges use their closed rules.  All range weights are
-    positive, so a +inf entry of g makes every range holding it infinite;
-    other non-finite entries count as 0 and the one-point range at t is
-    null, so Q is never NaN.
-    """
-    m = g.size
-    fin = np.isfinite(g)
-    gf = np.where(fin, g, 0.0)
-    Q = np.cumsum(gf[::-1])[::-1].copy()
-    k = m - 6  # ranges of N >= 6 panels start at j < k
-    if k > 0:
-        for d, c in enumerate(W[m - 1, :3] - 1.0):
-            Q[:k] += c * (gf[d:d + k] + gf[m - 1 - d])
-    for N in range(1, min(m, 6)):
-        Q[m - 1 - N] = W[N, : N + 1] @ gf[m - 1 - N:]
-    Q[m - 1] = 0.0
-    if not fin.all():
-        hit = np.cumsum((g == np.inf)[::-1])[::-1] > 0
-        hit[m - 1] = False
-        Q[hit] = np.inf
-    return Q
 
 
 def check_vanishing(kernel: Kernel, measure: MeasureSpec, p: float,
@@ -228,20 +187,20 @@ def check_vanishing(kernel: Kernel, measure: MeasureSpec, p: float,
     if not kernel.monotone:
         return VanishingReport(False, "kernel not declared monotone")
 
-    nodes, dens, W = _grid_data(domain.lo, float(t), measure, level)
-    kcol = _col_pow(kernel, nodes, float(t), p)
-    q = float(W[-1] * dens @ np.where(np.isfinite(kcol), kcol, np.inf))
+    op = GridOperator.on_interval(kernel, measure, p, domain.lo, t, level)
+    kcol = op.kernel_row()
+    q = op.row_integral(np.where(np.isfinite(kcol), kcol, np.inf))
     if not math.isfinite(q):
         return VanishingReport(False, "gap integral infinite")
 
-    u0_vals = np.asarray(u0f(nodes), dtype=float)
+    u0_vals = np.asarray(u0f(op.nodes), dtype=float)
     if strategy in ("auto", "bounded_u0"):
         if np.all(np.isfinite(u0_vals)):
             return VanishingReport(True, "bounded u0 with finite series function")
         if strategy == "bounded_u0":
             return VanishingReport(False, "u0 unbounded on the grid")
     if strategy in ("auto", "summability"):
-        wint = float(W[-1] * dens @ (kcol * u0_vals**p))
+        wint = op.row_integral(_ext_mul(kcol, u0_vals**p))
         if math.isfinite(wint):
             return VanishingReport(True, "finite integral of k**p u0**p")
     return VanishingReport(False, "no criterion applied")
@@ -297,7 +256,7 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
                                      a=kernel.t0, b=float(t), tol=1e-13)
             integ = math.exp(ln_c) * max(res.value, 0.0)
             total += integ ** (1.0 / p)
-            tail_ml = sup_v * _ml_tail(ap, X, p, n + 1)
+            tail_ml = sup_v * _tail_fractional_series(params, X, p, n + 1)
             if tail_ml < tol:
                 return SeriesValue(v_t + total, tail_ml, n, True)
         return SeriesValue(v_t + total, math.inf, n_cap, False)
@@ -306,24 +265,6 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
                             level, n_cap, v=vf)
     return SeriesValue(v_t + sv.sum, sv.tail_bound, sv.terms_used,
                        sv.converged)
-
-
-def _ml_tail(ap: float, X: float, p: float, n_start: int,
-             max_terms: int = 100_000) -> float:
-    """Tail of the beta-zero fractional majorant series from n_start."""
-    total = 0.0
-    prev = None
-    n = n_start
-    for _ in range(max_terms):
-        log_t = (n * ln_gamma(ap) + ap * n * math.log(X)
-                 - ln_gamma(ap * n + 1.0)) / p
-        term = math.exp(log_t)
-        total += term
-        if prev is not None and prev > 0 and term / prev < 0.5:
-            return total + 2.0 * term
-        prev = term
-        n += 1
-    return math.inf
 
 
 def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
@@ -369,12 +310,11 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     if float(t) <= lo:
         v0_t = float(v0f(np.asarray(float(t))))
         return v0_t, v0_t, 0.0  # null lower set: only v0 survives
-    nodes, dens, W = _grid_data(lo, float(t), inp.measure, level)
-    kcol = _col_pow(inp.k, nodes, float(t), p)
-    g = kcol * dens
-    Q = _suffix_integrals(g, W)
+    op = GridOperator.on_interval(inp.k, inp.measure, p, lo, t, level)
+    nodes, row = op.nodes, op.row_weights
+    kcol = op.kernel_row()
+    Q = op.suffix_integrals(kcol)
     q = Q[0]
-    row = W[-1] * dens
     v_vals = np.array([inp.v_at(float(x), level=level) for x in nodes])
     u0_vals = np.asarray(u0f(nodes), dtype=float)
     v_t = inp.v_at(float(t), level=level)
@@ -391,7 +331,8 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
                 for i in range(1, n)), 1.0) if q > 0 else 1.0
     lser = 0.0
     if inp.l is not None:
-        lcol = _col_pow(inp.l, nodes, float(t), p)
+        lcol = GridOperator.on_interval(inp.l, inp.measure, p, lo, t,
+                                        level).kernel_row()
         row_l = _ext_mul(row, lcol)
         lser = sum(_factorial_term(row_l, log_q, i, p) for i in range(0, n))
     sup_form = (sup_v0 * head if sup_v0 > 0 else 0.0) + w_n + lser
@@ -439,12 +380,11 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     if float(t) <= lo:
         v0_t = float(inp.v0_fn()(np.asarray(float(t))))
         return v0_t, v0_t, 0.0  # null lower set: only v0 survives
-    nodes, dens, W = _grid_data(lo, float(t), inp.measure, level)
-    kcol = _col_pow(inp.k, nodes, float(t), p)
-    g = kcol * dens
-    Q = _suffix_integrals(g, W)
+    op = GridOperator.on_interval(inp.k, inp.measure, p, lo, t, level)
+    nodes, row = op.nodes, op.row_weights
+    kcol = op.kernel_row()
+    Q = op.suffix_integrals(kcol)
     q = Q[0]
-    row = W[-1] * dens
     v_vals = np.array([inp.v_at(float(x), level=level) for x in nodes])
     v_t = inp.v_at(float(t), level=level)
     sup_v = float(np.max(v_vals))
@@ -469,9 +409,10 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     lser = 0.0
     ltail = 0.0
     if inp.l is not None:
-        lcol = _col_pow(inp.l, nodes, float(t), p)
+        op_l = GridOperator.on_interval(inp.l, inp.measure, p, lo, t, level)
+        lcol = op_l.kernel_row()
         row_l = _ext_mul(row, lcol)
-        int_l = float(row @ lcol)
+        int_l = op_l.row_integral(lcol)
         for n in range(0, n_cap):
             lser += _factorial_term(row_l, log_q, n, p)
             ltail = int_l ** (1.0 / p) * _tail_factorial(q, p, n + 1)

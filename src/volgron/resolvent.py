@@ -6,21 +6,26 @@ The resolvent sequence of a kernel k against a measure mu starts at
     R_{n+1}(t, s) = integral over [s, t] of k(t, u) R_n(u, s) mu(du).
 
 ``iterated_kernels`` tabulates ``R_{k**p, mu, n}`` on a triangular grid.
-On intervals the recursion is driven by composite range weights that are
-exact for cubics; discrete and void-ordered settings are exact sums;
-fractional kernels bypass grid quadrature entirely via a one-dimensional
-recursion on one homogeneous ratio profile per (alpha, beta, p), with
-gamma-function closed forms when the pole exponent ``beta`` vanishes.
+Every grid recursion runs through one ``GridOperator``: the nodes, the
+per-node weights (density times panel width on intervals, masses on
+atoms) and the interval range weights, which are exact for cubics.
+Discrete and void-ordered settings are exact sums; fractional kernels
+bypass grid quadrature entirely via a one-dimensional recursion on one
+homogeneous ratio profile per (alpha, beta, p), with gamma-function
+closed forms when the pole exponent ``beta`` vanishes.
 
 One interval layer costs one m x m matrix product plus O(m) work: the
 range weights are 1 inside long ranges, their end weights factor into
 the first subdiagonals of the two factors, and the short ranges are
-rewritten with their closed rules (``_layer_update``).  Series that only
-need integrals of the iterates over the lower set of t (the series
-function and the resolvent bound) never build layers: by Fubini those
-integrals advance by one matrix-vector product per term
-(``_integrated_series``).  Grid values follow the convention
-``0 * inf = 0``; no layer or series term is ever NaN.
+rewritten with their closed rules (``_layer_update``).  A box layer of a
+product kernel with a constant tail is ``tail**n`` times the outer
+product of the two axis layers.  Whatever only needs integrals of the
+iterates over the lower set of t (a single column, the series function,
+the resolvent bound, the Picard certificate layers) never builds layers:
+by Fubini those integrals advance by one matrix-vector product with the
+lower-set operator per term (``GridOperator.column``).  Grid values
+follow the convention ``0 * inf = 0``; no layer, table entry, series
+term, sum component or residual is ever NaN.
 
 Series built on top (the resolvent itself, and the series function whose
 finiteness defines the tractable kernel class) carry certified truncation
@@ -256,29 +261,6 @@ class ResolventTable:
 # ---------------------------------------------------------------------------
 
 
-def _density_on_nodes(measure, nodes: np.ndarray) -> np.ndarray:
-    h = nodes[1] - nodes[0]
-    if isinstance(measure, Lebesgue):
-        return np.full(nodes.size, h)
-    if isinstance(measure, WeightedLebesgue):
-        w = np.asarray(measure.weight(nodes), dtype=float)
-        if np.any(w < 0):
-            raise ValueError("measure weights must be nonnegative")
-        return h * w
-    raise TypeError(f"measure {measure!r} has no density on a grid")
-
-
-def _kp_triangle(kernel: Kernel, nodes: np.ndarray, p: float) -> np.ndarray:
-    """k(t_i, t_l)**p on the closed lower triangle, zero above it."""
-    m = nodes.size
-    T = np.broadcast_to(nodes[:, None], (m, m))
-    S = np.broadcast_to(nodes[None, :], (m, m))
-    vals = kernel.eval_grid(T, S)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = vals**p
-    return np.where(_tril_mask(m), vals, 0.0)
-
-
 def _inf_hits(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Where ``A @ X`` holds a product of two positive factors, one of
     them infinite."""
@@ -306,7 +288,7 @@ def _ext_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     fin_a, fin_x = np.isfinite(A), np.isfinite(X)
     if fin_a.all() and fin_x.all():
         return A @ X
-    out = np.where(fin_a, A, 0.0) @ np.where(fin_x, X, 0.0)
+    out = np.asarray(np.where(fin_a, A, 0.0) @ np.where(fin_x, X, 0.0))
     out[_inf_hits(A, X)] = np.inf
     return out
 
@@ -349,40 +331,180 @@ def _layer_update(A: np.ndarray, R: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_layers(kernel, measure, p, nodes, n_max) -> np.ndarray:
-    dens = _density_on_nodes(measure, nodes)
-    kp = _kp_triangle(kernel, nodes, p)
-    A = kp * dens[None, :]
-    W = range_weights_matrix(nodes.size)
-    layers = np.empty((n_max, nodes.size, nodes.size))
-    layers[0] = kp
-    for n in range(1, n_max):
-        layers[n] = _layer_update(A, layers[n - 1], W)
-    return layers
-
-
 def _sorted_atoms(measure: DiscreteMeasure):
     order = np.argsort(measure.points)
     return measure.points[order], measure.masses[order]
 
 
-def _discrete_layers(kernel, measure: DiscreteMeasure, p, n_max,
-                     ordered: bool) -> Tuple[np.ndarray, np.ndarray]:
-    nodes, masses = _sorted_atoms(measure)
-    m = nodes.size
-    T = np.broadcast_to(nodes[:, None], (m, m))
-    S = np.broadcast_to(nodes[None, :], (m, m))
-    vals = kernel.eval_grid(T, S)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = vals**p
-    if ordered:
-        vals = np.where(_tril_mask(m), vals, 0.0)
-    A = vals * masses[None, :]
-    layers = np.empty((n_max, m, m))
-    layers[0] = vals
-    for n in range(1, n_max):
-        layers[n] = A @ layers[n - 1]
-    return nodes, layers
+class GridOperator:
+    """The quadrature form of the resolvent step on one grid,
+    ``R -> integral over [s, t] of k(t, u)**p R(u, s) mu(du)``.
+
+    It holds the nodes, the per-node weights (the density times the panel
+    width on a uniform interval grid, the masses on atoms) and, on
+    intervals, the range weights ``W``: a range of N panels weighs its
+    node d panels above the lower end by ``W[N, d]``.  A range of atoms
+    weighs each of its atoms fully.  The kernel-power triangle ``kp`` and
+    the lower-set operator ``B`` are built on first use, so callers that
+    only integrate over the whole range never form an m x m array.  Every
+    product follows ``0 * inf = 0``.
+    """
+
+    def __init__(self, kernel: Optional[Kernel], p: float, nodes: np.ndarray,
+                 weights: np.ndarray, W: Optional[np.ndarray] = None,
+                 ordered: bool = True):
+        self.kernel, self.p, self.ordered = kernel, p, ordered
+        self.nodes, self.weights, self.W = nodes, weights, W
+
+    @classmethod
+    def on_nodes(cls, kernel, measure, p, nodes: np.ndarray) -> "GridOperator":
+        """Over uniform interval nodes, against the density of the measure."""
+        h = nodes[1] - nodes[0]
+        if isinstance(measure, Lebesgue):
+            dens = np.full(nodes.size, h)
+        elif isinstance(measure, WeightedLebesgue):
+            w = np.asarray(measure.weight(nodes), dtype=float)
+            if np.any(w < 0):
+                raise ValueError("measure weights must be nonnegative")
+            dens = h * w
+        else:
+            raise TypeError(f"measure {measure!r} has no density on a grid")
+        return cls(kernel, p, nodes, dens, range_weights_matrix(nodes.size))
+
+    @classmethod
+    def on_atoms(cls, kernel, measure: DiscreteMeasure, p,
+                 ordered: bool = True) -> "GridOperator":
+        """Over all atoms of a discrete measure, in increasing order."""
+        nodes, masses = _sorted_atoms(measure)
+        return cls(kernel, p, nodes, masses, ordered=ordered)
+
+    @classmethod
+    def on_interval(cls, kernel, measure, p, s: float, t: float,
+                    level: int) -> "GridOperator":
+        """Over the dyadic grid of [s, t] at ``level`` (atomless measures)."""
+        seg = Interval1D(float(s), float(t))
+        return cls.on_nodes(kernel, measure, p,
+                            QuadratureGrid.for_interval(seg, level).nodes)
+
+    @classmethod
+    def on_range(cls, kernel, measure, p, s: float, t: float,
+                 level: int) -> "GridOperator":
+        """Over [s, t]: the atoms there, with t appended at mass 0 when it
+        is not an atom, or the grid of ``on_interval``."""
+        if not isinstance(measure, DiscreteMeasure):
+            return cls.on_interval(kernel, measure, p, s, t, level)
+        pts, masses = _sorted_atoms(measure)
+        keep = (pts >= s) & (pts <= t)
+        nodes, masses = pts[keep], masses[keep]
+        if nodes.size == 0 or not np.isclose(nodes[-1], t):
+            nodes, masses = np.append(nodes, t), np.append(masses, 0.0)
+        return cls(kernel, p, nodes, masses)
+
+    def _power(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        vals = self.kernel.eval_grid(t, s)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return vals**self.p
+
+    def _triangle(self) -> np.ndarray:
+        m = self.nodes.size
+        vals = self._power(np.broadcast_to(self.nodes[:, None], (m, m)),
+                           np.broadcast_to(self.nodes[None, :], (m, m)))
+        return np.where(_tril_mask(m), vals, 0.0) if self.ordered else vals
+
+    @cached_property
+    def kp(self) -> np.ndarray:
+        """k(t_i, t_l)**p, zero above the diagonal on ordered grids."""
+        return self._triangle()
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The lower-set operator: ``(B g)[i]`` integrates
+        ``k(t_i, u)**p g(u)`` over the range from the first node to t_i."""
+        # weighted in place: a fresh m x m temporary costs more than a product
+        B = self._triangle()
+        with np.errstate(invalid="ignore"):
+            B *= self.weights
+            if self.W is not None:
+                B *= self.W
+        B[np.isnan(B)] = 0.0
+        return B
+
+    @cached_property
+    def _b_finite(self) -> bool:
+        return bool(np.isfinite(self.B).all())
+
+    def column(self, g: np.ndarray) -> np.ndarray:
+        """``B @ g`` with ``0 * inf = 0``."""
+        if self._b_finite and np.isfinite(g).all():
+            return self.B @ g
+        return _ext_matmul(self.B, g)
+
+    def kernel_row(self) -> np.ndarray:
+        """k(t, u)**p at the last node t, for every node u."""
+        return self._power(np.full(self.nodes.size, self.nodes[-1]),
+                           self.nodes)
+
+    def kernel_column(self, s: float) -> np.ndarray:
+        """k(u, s)**p for every node u."""
+        return self._power(self.nodes, np.full(self.nodes.size, float(s)))
+
+    @cached_property
+    def row_weights(self) -> np.ndarray:
+        """Node weights of the integral over the whole range."""
+        return self.weights if self.W is None else self.W[-1] * self.weights
+
+    def row_integral(self, f: np.ndarray) -> float:
+        """Integral of f over the whole range."""
+        return float(_ext_matmul(self.row_weights, f))
+
+    def suffix_integrals(self, f: np.ndarray) -> np.ndarray:
+        """Q[j] = integral of f over [t_j, t] on an interval grid.
+
+        With interior weight 1, Q is a reverse cumulative sum; ranges of six
+        or more panels then correct their three end weights at each end, and
+        shorter ranges use their closed rules.  All range weights are
+        positive, so a +inf entry of f makes every range holding it
+        infinite; other non-finite entries count as 0 and the one-point
+        range at t is null, so Q is never NaN.
+        """
+        W = self.W
+        g = _ext_mul(f, self.weights)
+        m = g.size
+        fin = np.isfinite(g)
+        gf = np.where(fin, g, 0.0)
+        Q = np.cumsum(gf[::-1])[::-1].copy()
+        k = m - 6  # ranges of N >= 6 panels start at j < k
+        if k > 0:
+            for d, c in enumerate(W[m - 1, :3] - 1.0):
+                Q[:k] += c * (gf[d:d + k] + gf[m - 1 - d])
+        for N in range(1, min(m, 6)):
+            Q[m - 1 - N] = W[N, : N + 1] @ gf[m - 1 - N:]
+        Q[m - 1] = 0.0
+        if not fin.all():
+            hit = np.cumsum((g == np.inf)[::-1])[::-1] > 0
+            hit[m - 1] = False
+            Q[hit] = np.inf
+        return Q
+
+    def _step(self, A: np.ndarray, R: np.ndarray) -> np.ndarray:
+        if self.W is None:
+            return _ext_matmul(A, R)
+        return _layer_update(A, R, self.W)
+
+    def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``integral over [s, t] of left(t, u) right(u, s) mu(du)`` on
+        the grid."""
+        return self._step(_ext_mul(left, self.weights[None, :]), right)
+
+    def layers(self, n_max: int) -> np.ndarray:
+        """The iterated kernels ``R_1 = kp, ..., R_{n_max}`` on the grid."""
+        m = self.nodes.size
+        out = np.empty((n_max, m, m))
+        out[0] = self.kp
+        A = _ext_mul(self.kp, self.weights[None, :])
+        for n in range(1, n_max):
+            out[n] = self._step(A, out[n - 1])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -812,24 +934,15 @@ def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
     if p < 1:
         raise ValueError("p must be >= 1")
 
-    if isinstance(kernel, VoidKernel):
-        if not isinstance(measure, DiscreteMeasure):
-            raise TypeError("void-ordered kernels integrate against atoms")
-        nodes, layers = _discrete_layers(kernel, measure, p, n_max,
-                                         ordered=False)
-        return ResolventTable(
-            grid=QuadratureGrid.for_points(nodes), n_max=n_max, p=p,
-            values=layers, err_est=0.0, measure=measure, ordered=False,
-            family="void", status="exact",
-        )
-
+    void = isinstance(kernel, VoidKernel)
+    if void and not isinstance(measure, DiscreteMeasure):
+        raise TypeError("void-ordered kernels integrate against atoms")
     if isinstance(measure, DiscreteMeasure):
-        nodes, layers = _discrete_layers(kernel, measure, p, n_max,
-                                         ordered=True)
+        op = GridOperator.on_atoms(kernel, measure, p, ordered=not void)
         return ResolventTable(
-            grid=QuadratureGrid.for_points(nodes), n_max=n_max, p=p,
-            values=layers, err_est=0.0, measure=measure, ordered=True,
-            family=kernel.family, status="exact",
+            grid=QuadratureGrid.for_points(op.nodes), n_max=n_max, p=p,
+            values=op.layers(n_max), err_est=0.0, measure=measure,
+            ordered=not void, family=kernel.family, status="exact",
         )
 
     if grid is None:
@@ -864,11 +977,12 @@ def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
             status=status,
         )
 
-    layers = _interval_layers(kernel, measure, p, grid.nodes, n_max)
+    layers = GridOperator.on_nodes(kernel, measure, p, grid.nodes).layers(n_max)
     err = 0.0
     status = "certified"
     if estimate_error:
-        fine = _interval_layers(kernel, measure, p, grid.refine().nodes, n_max)
+        fine = GridOperator.on_nodes(kernel, measure, p,
+                                     grid.refine().nodes).layers(n_max)
         fine_restricted = fine[:, ::2, ::2]
         err = _two_level_err(fine_restricted, layers)
         layers = fine_restricted
@@ -894,36 +1008,19 @@ def _box_axis_measures(measure, ndim):
 
 def _box_layers(kernel: ProductKernel, measure, p, grid: QuadratureGrid,
                 n_max) -> np.ndarray:
+    """Layer n is ``tail**n`` times the outer product of the axis layers:
+    the constant tail and the product measure factor the recursion."""
     if kernel.ndim != 2 or grid.ndim != 2:
         raise NotImplementedError(
             "grid tables on boxes are implemented for two axes; use "
             "product_bound for higher-dimensional products"
         )
-    axis_measures = _box_axis_measures(measure, 2)
-    n1, n2 = (a.size for a in grid.axes)
-    tail = kernel.tail_constant**p
-    dens = [_density_on_nodes(ms, a) for ms, a in zip(axis_measures, grid.axes)]
-    K1 = _kp_triangle(kernel.factors[0], grid.axes[0], p)
-    K2 = _kp_triangle(kernel.factors[1], grid.axes[1], p)
-    A1 = K1 * dens[0][None, :]
-    A2 = K2 * dens[1][None, :]
-    W1 = range_weights_matrix(n1)
-    W2 = range_weights_matrix(n2)
-
-    layers = np.zeros((n_max, n1, n2, n1, n2))
-    layers[0] = tail * np.einsum("ik,jl->ijkl", K1, K2)
-    for n in range(1, n_max):
-        prev = layers[n - 1]
-        cur = np.zeros_like(prev)
-        for j1 in range(n1):
-            B1 = A1[j1:, j1:] * W1[: n1 - j1, : n1 - j1]
-            for j2 in range(n2):
-                B2 = A2[j2:, j2:] * W2[: n2 - j2, : n2 - j2]
-                cur[j1:, j2:, j1, j2] = tail * (
-                    B1 @ prev[j1:, j2:, j1, j2] @ B2.T
-                )
-        layers[n] = cur
-    return layers
+    R1, R2 = (GridOperator.on_nodes(k, ms, p, a).layers(n_max)
+              for k, ms, a in zip(kernel.factors,
+                                  _box_axis_measures(measure, 2), grid.axes))
+    scale = (kernel.tail_constant**p) ** np.arange(1.0, n_max + 1.0)
+    R1 = _ext_mul(R1, scale[:, None, None])
+    return _ext_mul(R1[:, :, None, :, None], R2[:, None, :, None, :])
 
 
 def _box_iterated(kernel, measure, p, n_max, grid, estimate_error):
@@ -954,14 +1051,11 @@ def compose_layers(table: ResolventTable, m: int, n: int) -> np.ndarray:
     """
     if table.values.ndim != 3:
         raise NotImplementedError("layer composition is one-dimensional")
-    Rm = table.layer(m)
-    Rn = table.layer(n)
     if isinstance(table.measure, DiscreteMeasure):
-        _, masses = _sorted_atoms(table.measure)
-        return (Rm * masses[None, :]) @ Rn
-    dens = _density_on_nodes(table.measure, table.nodes)
-    W = range_weights_matrix(table.nodes.size)
-    return _layer_update(Rm * dens[None, :], Rn, W)
+        op = GridOperator.on_atoms(None, table.measure, table.p, table.ordered)
+    else:
+        op = GridOperator.on_nodes(None, table.measure, table.p, table.nodes)
+    return op.compose(table.layer(m), table.layer(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1057,38 +1151,6 @@ def _measure_mass(measure, s: float, t: float) -> float:
     return res.value
 
 
-def _column_operator(kernel, measure, p, s, t, level):
-    """Recursion operator B and first column over a grid spanning [s, t].
-
-    Returns (nodes, B, rho_1) with rho_1[l] = k(node_l, s)**p and
-    B @ rho advancing one layer.  B follows ``0 * inf = 0``: a kernel
-    infinite where its weight vanishes contributes nothing.
-    """
-    if isinstance(measure, DiscreteMeasure):
-        pts, masses = _sorted_atoms(measure)
-        keep = (pts >= s) & (pts <= t)
-        nodes, masses = pts[keep], masses[keep]
-        if nodes.size == 0 or not np.isclose(nodes[-1], t):
-            nodes = np.append(nodes, t)
-            masses = np.append(masses, 0.0)
-        weights = (masses[None, :],)
-    else:
-        seg = Interval1D(float(s), float(t))
-        nodes = QuadratureGrid.for_interval(seg, level).nodes
-        weights = (_density_on_nodes(measure, nodes)[None, :],
-                   range_weights_matrix(nodes.size))
-    # _ext_mul in place: a fresh m x m temporary costs more than the product
-    B = _kp_triangle(kernel, nodes, p)
-    with np.errstate(invalid="ignore"):
-        for w in weights:
-            B *= w
-    B[np.isnan(B)] = 0.0
-    rho_1 = kernel.eval_grid(nodes, np.full(nodes.size, float(s)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        rho_1 = rho_1**p
-    return nodes, B, rho_1
-
-
 def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
                      t, s, tol: float = 1e-10, level: int = 8,
                      n_cap: int = 400) -> SeriesValue:
@@ -1156,9 +1218,10 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     # generic path: single-column recursion on [s, t], one level finer
     # than requested to keep quadrature error below the truncation tail
     use_level = level + 1 if not isinstance(measure, DiscreteMeasure) else level
-    nodes, B, rho = _column_operator(kernel, measure, p, float(s), float(t),
-                                     use_level)
-    q = float(_ext_matmul(B, np.ones(nodes.size))[-1])
+    op = GridOperator.on_range(kernel, measure, p, float(s), float(t),
+                               use_level)
+    rho = op.kernel_column(s)
+    q = float(op.column(np.ones(op.nodes.size))[-1])
     majorant_ok = (kernel.monotone and math.isfinite(q)
                    and not isinstance(measure, DiscreteMeasure))
     total = 0.0
@@ -1179,7 +1242,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
         elif term < tol * 1e-3 and n > 3:
             # no recognised majorant: truncate when terms stall, unconverged
             return SeriesValue(total, math.inf, n, False)
-        rho = _ext_matmul(B, rho)
+        rho = op.column(rho)
     return SeriesValue(total, math.inf, n_cap, False)
 
 
@@ -1211,31 +1274,29 @@ def volterra_residual(kernel: Kernel, measure: MeasureSpec, t, s,
         raise ValueError("interval residuals need a grid")
     if float(t) == float(s) and not isinstance(measure, DiscreteMeasure):
         return 0.0  # R(t, t) = k(t, t): the null-range integral vanishes
-    level = grid.level
-    if isinstance(measure, DiscreteMeasure):
-        nodes, B, rho_n = _column_operator(kernel, measure, 1.0,
-                                           float(s), float(t), level)
-        fine_nodes, B_fine, rho_fine = nodes, B, rho_n
-        stride = 1
-    else:
-        fine_nodes, B_fine, rho_fine = _column_operator(
-            kernel, measure, 1.0, float(s), float(t), level + 1)
-        nodes, B, _ = _column_operator(kernel, measure, 1.0,
-                                       float(s), float(t), level)
+    op = GridOperator.on_range(kernel, measure, 1.0, float(s), float(t),
+                               grid.level)
+    stride = 1
+    fine = op
+    if not isinstance(measure, DiscreteMeasure):
+        fine = GridOperator.on_range(kernel, measure, 1.0, float(s),
+                                     float(t), grid.level + 1)
         stride = 2
 
     k_ts = float(kernel.eval_grid(np.asarray(float(t)), np.asarray(float(s))))
     scale = max(1.0, abs(k_ts))
-    rho = np.zeros_like(rho_fine)
-    cur = rho_fine
+    cur = fine.kernel_column(s)
+    rho = np.zeros_like(cur)
     for _ in range(n_cap):
         rho = rho + cur
+        if math.isinf(rho[-1]):
+            return math.inf  # the grid does not resolve the singularity
         if float(np.max(np.abs(cur))) < 1e-16 * scale:
             break
-        cur = B_fine @ cur
+        cur = fine.column(cur)
     rho_coarse = rho[::stride]
     lhs = float(rho_coarse[-1])
-    rhs = k_ts + float((B @ rho_coarse)[-1])
+    rhs = k_ts + float(op.column(rho_coarse)[-1])
     return abs(lhs - rhs)
 
 
@@ -1320,7 +1381,7 @@ def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
     """Sum over n of (integral over [lo, t] of R_n(t, s) v(s)**p mu(ds))**(1/p).
 
     By Fubini the integrals g_n(x) over [lo, x] obey g_1 = B v**p and
-    g_{n+1} = B g_n with the lower-set operator B of ``_column_operator``,
+    g_{n+1} = B g_n with the lower-set operator B of ``GridOperator``,
     so each term is one matrix-vector product and only g_n(t) is read.
     This is exact for discrete measures; on intervals it runs one grid
     level finer than requested.  ``v`` defaults to 1.  Monotone kernels
@@ -1329,8 +1390,9 @@ def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
     disables it.
     """
     discrete = isinstance(measure, DiscreteMeasure)
-    nodes, B, _ = _column_operator(kernel, measure, p, lo, t,
-                                   level if discrete else level + 1)
+    op = GridOperator.on_range(kernel, measure, p, lo, t,
+                               level if discrete else level + 1)
+    nodes = op.nodes
     ones = np.ones(nodes.size)
     if v is None:
         w, sup_v = ones, 1.0
@@ -1339,10 +1401,10 @@ def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
         w = v_vals**p
         sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
             else math.inf
-    q = float(_ext_matmul(B, ones)[-1])
+    q = float(op.column(ones)[-1])
     majorant_ok = (kernel.monotone and not discrete and math.isfinite(q)
                    and math.isfinite(sup_v))
-    g = _ext_matmul(B, w)
+    g = op.column(w)
     total = 0.0
     for n in range(1, n_cap + 1):
         integ = float(g[-1])
@@ -1353,7 +1415,7 @@ def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
             tail = sup_v * _tail_factorial(q, p, n + 1)
             if tail < tol:
                 return SeriesValue(total, tail, n, True)
-        g = _ext_matmul(B, g)
+        g = op.column(g)
     return SeriesValue(total, math.inf, n_cap, False)
 
 
@@ -1382,19 +1444,16 @@ def sum_decomposition(parts: Sequence[Kernel], measure: MeasureSpec, n: int,
     if not _leq_points(s, t):
         raise ValueError("need s <= t")
 
-    ops = [_column_operator(k, measure, 1.0, float(s), float(t), level)
+    ops = [GridOperator.on_range(k, measure, 1.0, float(s), float(t), level)
            for k in parts]
-    Bs = [op[1] for op in ops]
-    firsts = [op[2] for op in ops]
-
     columns: Dict[Tuple[int, ...], np.ndarray] = {
-        (a,): firsts[a] for a in range(N)
+        (a,): op.kernel_column(s) for a, op in enumerate(ops)
     }
     for _ in range(n - 1):
         nxt: Dict[Tuple[int, ...], np.ndarray] = {}
         for idx, col in columns.items():
-            for a in range(N):
-                nxt[idx + (a,)] = Bs[a] @ col
+            for a, op in enumerate(ops):
+                nxt[idx + (a,)] = op.column(col)
         columns = nxt
     return {idx: float(col[-1]) for idx, col in columns.items()}
 
@@ -1432,7 +1491,8 @@ def _single_iterate(kernel, measure, p, n, t, s, level) -> float:
         if n == 1:
             return float(kernel.eval_grid(np.asarray(t), np.asarray(s))) ** p
         return 0.0
-    _, B, rho = _column_operator(kernel, measure, p, s, t, level)
+    op = GridOperator.on_range(kernel, measure, p, s, t, level)
+    rho = op.kernel_column(s)
     for _ in range(n - 1):
-        rho = B @ rho
+        rho = op.column(rho)
     return float(rho[-1])

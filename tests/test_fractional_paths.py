@@ -28,7 +28,7 @@ from volgron.problems import abel_problem
 from volgron.quadrature import integrate_singular
 from volgron.resolvent import (
     FractionalResolventParams,
-    _column_operator,
+    GridOperator,
     _gap_limit,
     _jacobi_rule,
     _tail_factorial,
@@ -353,7 +353,7 @@ def test_grid_series_with_infinite_first_iterate_diverges():
 
 
 def test_column_operator_holds_no_nan():
-    _, B, _ = _column_operator(SINGULAR, Lebesgue(), 1.0, 0.0, 1.0, 5)
+    B = GridOperator.on_range(SINGULAR, Lebesgue(), 1.0, 0.0, 1.0, 5).B
     assert not np.any(np.isnan(B))
     assert B[0, 0] == 0.0
 

@@ -1,31 +1,48 @@
-"""The matrix-product layer update, the integrated-series recursion and the
-vectorised suffix integrals, each against the plain implementation it
-replaced, kept here as the reference."""
+"""The matrix-product layer update, the integrated-series recursion, the
+vectorised suffix integrals, the factored box tables and the
+matrix-vector Picard certificate, each against the plain implementation
+it replaced, kept here as the reference; plus the 0 * inf = 0 column
+paths of a kernel that is infinite on the diagonal."""
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from volgron.domains import Interval1D, QuadratureGrid
-from volgron.gronwall import _suffix_integrals, resolvent_bound
-from volgron.kernels import CallableKernel, SeparableKernel, constant_kernel
-from volgron.measures import DiscreteMeasure, Lebesgue, WeightedLebesgue
+from volgron import fixpoint
+from volgron.domains import Interval1D, ProductBox, QuadratureGrid
+from volgron.fixpoint import PicardCertificate, picard_solve
+from volgron.gronwall import resolvent_bound
+from volgron.kernels import (
+    CallableKernel,
+    ProductKernel,
+    SeparableKernel,
+    constant_kernel,
+)
+from volgron.measures import (
+    DiscreteMeasure,
+    Lebesgue,
+    ProductMeasure,
+    WeightedLebesgue,
+)
+from volgron.problems import volterra_problem
 from volgron.quadrature import range_weights_matrix
 from volgron.resolvent import (
-    _column_operator,
-    _density_on_nodes,
-    _kp_triangle,
+    GridOperator,
     _layer_update,
     _sorted_atoms,
     _tail_factorial,
     compose_layers,
     iterated_kernels,
+    product_bound,
     series_function_I,
+    sum_decomposition,
+    volterra_residual,
 )
 from volgron.specfun import SeriesValue
 
@@ -38,6 +55,15 @@ KERNELS = {
     "constant": (constant_kernel(1.5), Lebesgue()),
     "separable": (SEP, Lebesgue()),
     "weighted": (SEP, WEIGHTED),
+}
+SINGULAR = CallableKernel(lambda t, s: 1.0 / np.sqrt(np.maximum(t - s, 0.0)))
+BOX = ProductBox((DOM, DOM))
+BOX_CASES = {
+    "constant": (ProductKernel((constant_kernel(1.5), constant_kernel(0.8)),
+                               tail_factor=0.7),
+                 ProductMeasure((Lebesgue(), Lebesgue()))),
+    "separable": (ProductKernel((constant_kernel(1.5), SEP), tail_factor=0.7),
+                  ProductMeasure((Lebesgue(), WEIGHTED))),
 }
 
 
@@ -88,9 +114,10 @@ def table_route_series(kernel, measure, p, t, tol, level, v=None,
     their last row (the series part of series_function_I and, with v,
     of resolvent_bound)."""
     use_level = level if isinstance(measure, DiscreteMeasure) else level + 1
-    nodes, B, _ = _column_operator(kernel, measure, p, DOM.lo, t, use_level)
+    op = GridOperator.on_range(kernel, measure, p, DOM.lo, t, use_level)
+    nodes, B = op.nodes, op.B
     m = nodes.size
-    cur = _kp_triangle(kernel, nodes, p)
+    cur = op.kp
     if isinstance(measure, DiscreteMeasure):
         pts, masses = _sorted_atoms(measure)
         row_w = masses[(pts >= DOM.lo) & (pts <= t)]
@@ -99,7 +126,7 @@ def table_route_series(kernel, measure, p, t, tol, level, v=None,
         advance = lambda R: B @ R  # noqa: E731
         majorant_ok = False
     else:
-        dens = _density_on_nodes(measure, nodes)
+        dens = op.weights
         W = range_weights_matrix(m)
         A = cur * dens[None, :]
         row_w = W[-1] * dens
@@ -120,8 +147,60 @@ def table_route_series(kernel, measure, p, t, tol, level, v=None,
     return SeriesValue(total, math.inf, n_cap, False)
 
 
+def loop_box_layers(kernel, measure, p, grid, n_max):
+    """The per-column double loop over (j1, j2): each column of a box layer
+    is the previous one multiplied by the two axis operators."""
+    ops = [GridOperator.on_nodes(k, ms, p, a)
+           for k, ms, a in zip(kernel.factors, measure.factors, grid.axes)]
+    K1, K2 = (op.kp for op in ops)
+    A1, A2 = (op.kp * op.weights[None, :] for op in ops)
+    n1, n2 = K1.shape[0], K2.shape[0]
+    W1, W2 = range_weights_matrix(n1), range_weights_matrix(n2)
+    tail = kernel.tail_constant**p
+    layers = np.zeros((n_max, n1, n2, n1, n2))
+    layers[0] = tail * np.einsum("ik,jl->ijkl", K1, K2)
+    for n in range(1, n_max):
+        prev = layers[n - 1]
+        cur = np.zeros_like(prev)
+        for j1 in range(n1):
+            B1 = A1[j1:, j1:] * W1[: n1 - j1, : n1 - j1]
+            for j2 in range(n2):
+                B2 = A2[j2:, j2:] * W2[: n2 - j2, : n2 - j2]
+                cur[j1:, j2:, j1, j2] = tail * (
+                    B1 @ prev[j1:, j2:, j1, j2] @ B2.T)
+        layers[n] = cur
+    return layers
+
+
+def table_route_certificate(spec, w0, n_layers, cert_level):
+    """The Picard certificate of a monotone increment kernel from full
+    m x m layers: term i integrates every row of R_i against w0**p."""
+    nodes = spec.grid
+    stride = 2 ** max(int(round(math.log2(nodes.size - 1))) - cert_level, 0)
+    cnodes, cw0, p = nodes[::stride], w0[::stride], spec.p
+    op = GridOperator.on_nodes(spec.lambda_kernel, spec.measure, p, cnodes)
+    W = range_weights_matrix(cnodes.size)
+    weighted = op.weights * cw0**p
+    b = np.array([np.maximum((W * layer) @ weighted, 0.0) ** (1.0 / p)
+                  for layer in op.layers(n_layers)])
+    q_prof = (W * op.kp) @ op.weights
+    sup_w0 = np.maximum.accumulate(cw0)
+    tail = np.array([sup_w0[j] * _tail_factorial(float(q), p, n_layers + 1)
+                     for j, q in enumerate(q_prof)])
+    return PicardCertificate(
+        ts=cnodes.copy(), p=p, b_layers=b, tail=tail,
+        lambda0_profile=np.where(q_prof > 0, q_prof, 0.0) ** (1.0 / p),
+        w0=cw0.copy(), family=spec.lambda_kernel.family)
+
+
 def _nodes(m):
     return np.linspace(0.0, 1.0, m)
+
+
+def _suffix_integrals(g, W):
+    """Suffix integrals of g itself: the operator with unit node weights."""
+    m = g.size
+    return GridOperator(None, 1.0, _nodes(m), np.ones(m), W).suffix_integrals(g)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +214,9 @@ def _nodes(m):
 def test_layer_update_matches_column_loop(m, name, p):
     kernel, measure = KERNELS[name]
     nodes = _nodes(m)
-    kp = _kp_triangle(kernel, nodes, p)
-    A = kp * _density_on_nodes(measure, nodes)[None, :]
+    op = GridOperator.on_nodes(kernel, measure, p, nodes)
+    kp = op.kp
+    A = kp * op.weights[None, :]
     W = range_weights_matrix(m)
     R2 = _layer_update(A, kp, W)
     # entries above the diagonal are outside the recursion: both ignore them
@@ -169,8 +249,7 @@ def test_layer_update_non_finite_entries_follow_zero_times_inf(m):
 def test_singular_diagonal_layers_hold_no_nan():
     # k = 1/sqrt(t - s) is infinite on the diagonal; every later layer is
     # infinite below it and null on it (a one-point range has measure 0)
-    kern = CallableKernel(lambda t, s: 1.0 / np.sqrt(np.maximum(t - s, 0.0)))
-    tab = iterated_kernels(kern, Lebesgue(), 1.0, 3,
+    tab = iterated_kernels(SINGULAR, Lebesgue(), 1.0, 3,
                            QuadratureGrid.for_interval(DOM, 5))
     assert not np.any(np.isnan(tab.values))
     strict = np.tril(np.ones((33, 33), dtype=bool), -1)
@@ -179,6 +258,82 @@ def test_singular_diagonal_layers_hold_no_nan():
         assert np.all(np.isinf(layer[strict]))
         assert np.all(np.diag(layer) == 0.0)
     assert not np.any(np.isnan(compose_layers(tab, 1, 2)))
+
+
+def test_column_paths_of_a_singular_kernel_hold_no_nan():
+    # the grid cannot resolve the diagonal singularity: every column that
+    # passes through the singular kernel is a sound inf, never NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = volterra_residual(SINGULAR, Lebesgue(), 1.0, 0.0,
+                                grid=QuadratureGrid.for_interval(DOM, 5))
+        comps = sum_decomposition([SINGULAR, constant_kernel(1.0)],
+                                  Lebesgue(), 3, 1.0, 0.0, level=5)
+        prod = product_bound([(SINGULAR, Lebesgue()),
+                              (constant_kernel(1.0), Lebesgue())],
+                             1.0, 3, (1.0, 1.0), (0.0, 0.0), level=5)
+    assert res == math.inf
+    assert len(comps) == 8
+    assert all(math.isinf(v) for idx, v in comps.items() if 0 in idx)
+    assert comps[(1, 1, 1)] == pytest.approx(0.5, rel=1e-12)  # t**2 / 2
+    assert prod.is_infinite
+
+
+# ---------------------------------------------------------------------------
+# factored box tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(BOX_CASES))
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_factored_box_table_matches_column_loop(level, name, p):
+    kernel, measure = BOX_CASES[name]
+    grid = QuadratureGrid.for_box(BOX, level)
+    new = iterated_kernels(kernel, measure, p, 4, grid,
+                           estimate_error=False).values
+    ref = loop_box_layers(kernel, measure, p, grid, 4)
+    np.testing.assert_array_equal(np.isinf(new), np.isinf(ref))
+    np.testing.assert_array_equal(new == 0.0, ref == 0.0)
+    np.testing.assert_allclose(new, ref, rtol=1e-13, atol=0.0)
+
+
+def test_box_table_with_a_singular_factor_holds_no_nan():
+    kern = ProductKernel((SINGULAR, constant_kernel(1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = iterated_kernels(kern, ProductMeasure((Lebesgue(), Lebesgue())),
+                               1.0, 3, QuadratureGrid.for_box(BOX, 3))
+    assert not np.any(np.isnan(tab.values))
+    layer = tab.layer(2)
+    # inf on the singular axis times a positive constant-kernel layer ...
+    assert np.all(np.isinf(layer[1:, 1:, 0, 0]))
+    # ... and times its null diagonal follows 0 * inf = 0
+    assert np.all(layer[1:, 0, 0, 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Picard certificates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rate,level", [(1.5, 9), (2.0, 9), (2.5, 9),
+                                        (4.0, 7)])
+@pytest.mark.parametrize("tol,max_iter", [(1e-6, 25), (1e-8, 50)])
+def test_certificate_route_matches_table_route(rate, level, tol, max_iter,
+                                               monkeypatch):
+    # the matrix-vector route is another quadrature of the same layer
+    # integrals: the stopping decisions agree and the bounds are close
+    prob = volterra_problem(rate=rate, level=level)
+    x, cert = picard_solve(prob.spec, prob.x0, tol=tol, max_iter=max_iter)
+    monkeypatch.setattr(fixpoint, "_interval_certificate",
+                        table_route_certificate)
+    x_ref, ref = picard_solve(prob.spec, prob.x0, tol=tol, max_iter=max_iter)
+    assert cert.iterates == ref.iterates
+    assert cert.converged == ref.converged
+    np.testing.assert_array_equal(x, x_ref)
+    for n in range(1, 31):
+        assert cert.bound(n) == pytest.approx(ref.bound(n), rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
