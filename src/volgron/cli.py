@@ -8,9 +8,11 @@ are CSV or JSON with 17-significant-digit floats and sorted keys, so
 identical invocations produce identical bytes.  Resolvent tables are
 written chunk by chunk as they are formatted, never held as one string.
 
-Exit codes: 0 on success, 1 on configuration errors (unknown subcommand,
-malformed configuration, unreadable file), 2 on numerical failure where
-a certified result was demanded.  Relative ``--out`` paths are resolved
+Exit codes: 0 on success, 1 on configuration errors and bad arguments
+(unknown subcommand, malformed configuration, unreadable file, a value
+outside its range), 2 on numerical failure (overflow, or no certified
+result where one was demanded).  Errors print one ``volgron: ...`` line
+on stderr, never a traceback.  Relative ``--out`` paths are resolved
 against the directory named by the ``VOLGRON_OUT_DIR`` environment
 variable when it is set.
 """
@@ -246,6 +248,12 @@ def main(argv=None) -> int:
         return 1
     except DivergentBoundError as exc:
         print(f"volgron: certificate failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"volgron: bad argument: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"volgron: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,6 +29,7 @@ from .resolvent import (
     GridOperator,
     _ext_mul,
     _integrated_series,
+    _row_integrals,
     _sorted_atoms,
     _tail_factorial,
     _tail_fractional_series,
@@ -96,17 +97,26 @@ class GronwallInput:
 
     def v_at(self, t: float, level: int = 8) -> float:
         """v(t) = v0(t) + (integral of l**p over the lower set)**(1/p)."""
-        base = float(self.v0_fn()(np.asarray(float(t))))
+        return float(self._v_values(np.array([float(t)]), level)[0])
+
+    def _v_values(self, ts: np.ndarray, level: int = 8) -> np.ndarray:
+        """``v_at`` at every t of ``ts``: one call of v0 and, on an
+        interval, one batched evaluation of the l integrals over the
+        dyadic grids of [lo, t] (``_row_integrals``)."""
+        ts = np.asarray(ts, dtype=float)
+        out = np.array(self.v0_fn()(ts), dtype=float)
         if self.l is None:
-            return base
+            return out
+        r = 1.0 / self.p
         if self.m == 0:
-            q_l = _void_q(self.l, self.measure, self.p)
-            return base + q_l ** (1.0 / self.p)
-        if float(t) <= self.domain.lo:
-            return base  # the lower set is null
-        op = GridOperator.on_interval(self.l, self.measure, self.p,
-                                      self.domain.lo, t, level)
-        return base + op.row_integral(op.kernel_row()) ** (1.0 / self.p)
+            return out + _void_q(self.l, self.measure, self.p) ** r
+        live = ts > self.domain.lo  # elsewhere the lower set is null
+        if live.any():
+            ints = _row_integrals(self.l, self.measure, self.p,
+                                  self.domain.lo, ts[live], level)
+            # scalar powers: an array power may differ in the last bit
+            out[live] += [x**r for x in ints.tolist()]
+        return out
 
 
 @dataclass(frozen=True)
@@ -286,11 +296,11 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
         q = _void_q(inp.k, inp.measure, p)
         pts, masses = _sorted_atoms(inp.measure)
         k1p = np.asarray(inp.k.k1(pts), dtype=float)**p
-        v_vals = np.array([_void_v(inp, float(x)) for x in pts])
+        v_vals = inp._v_values(pts)
         u0_vals = np.asarray(u0f(pts), dtype=float)
         int_kv = float(np.dot(masses, k1p * v_vals**p))
         int_ku = float(np.dot(masses, k1p * u0_vals**p))
-        v_t = _void_v(inp, float(t))
+        v_t = inp.v_at(float(t))
         w_n = (q ** (n - 1) * int_ku) ** (1.0 / p)
         sharp = v_t + w_n + sum(
             (q**i * int_kv) ** (1.0 / p) for i in range(0, n - 1)
@@ -315,9 +325,9 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     kcol = op.kernel_row()
     Q = op.suffix_integrals(kcol)
     q = Q[0]
-    v_vals = np.array([inp.v_at(float(x), level=level) for x in nodes])
+    v_vals = inp._v_values(nodes, level)  # nodes[-1] is t
     u0_vals = np.asarray(u0f(nodes), dtype=float)
-    v_t = inp.v_at(float(t), level=level)
+    v_t = float(v_vals[-1])
 
     log_q = _log_q(Q)
     row_k = _ext_mul(row, kcol)
@@ -339,14 +349,6 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     return sharp, sup_form, w_n
 
 
-def _void_v(inp: GronwallInput, t: float) -> float:
-    base = float(inp.v0_fn()(np.asarray(t)))
-    if inp.l is None:
-        return base
-    q_l = _void_q(inp.l, inp.measure, inp.p)
-    return base + q_l ** (1.0 / inp.p)
-
-
 def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
                    level: int = 8, n_cap: int = 500):
     """Both closed Gronwall bounds at t: ``(sharp, sup_form, tail)``.
@@ -363,9 +365,9 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
         r = q ** (1.0 / p)
         pts, masses = _sorted_atoms(inp.measure)
         k1p = np.asarray(inp.k.k1(pts), dtype=float)**p
-        v_vals = np.array([_void_v(inp, float(x)) for x in pts])
+        v_vals = inp._v_values(pts)
         int_kv = float(np.dot(masses, k1p * v_vals**p))
-        v_t = _void_v(inp, float(t))
+        v_t = inp.v_at(float(t))
         sharp = v_t + int_kv ** (1.0 / p) / (1.0 - r)
         sup_v0 = float(np.max(np.asarray(inp.v0_fn()(pts), dtype=float)))
         if inp.l is not None:
@@ -385,8 +387,8 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     kcol = op.kernel_row()
     Q = op.suffix_integrals(kcol)
     q = Q[0]
-    v_vals = np.array([inp.v_at(float(x), level=level) for x in nodes])
-    v_t = inp.v_at(float(t), level=level)
+    v_vals = inp._v_values(nodes, level)  # nodes[-1] is t
+    v_t = float(v_vals[-1])
     sup_v = float(np.max(v_vals))
 
     # an infinite gap integral leaves no factorial majorant: each loop

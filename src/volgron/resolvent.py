@@ -14,12 +14,14 @@ bypass grid quadrature entirely via a one-dimensional recursion on one
 homogeneous ratio profile per (alpha, beta, p), with gamma-function
 closed forms when the pole exponent ``beta`` vanishes.
 
-One interval layer costs one m x m matrix product plus O(m) work: the
-range weights are 1 inside long ranges, their end weights factor into
-the first subdiagonals of the two factors, and the short ranges are
-rewritten with their closed rules (``_layer_update``).  A box layer of a
-product kernel with a constant tail is ``tail**n`` times the outer
-product of the two axis layers.  Whatever only needs integrals of the
+One interval layer is a product of two lower-triangular m x m matrices,
+about a third of the multiply-adds of a full m x m product
+(``_tri_matmul``), plus O(m) work: the range weights are 1 inside long
+ranges, their end weights factor into the first subdiagonals of the two
+factors, and the short ranges are rewritten with their closed rules
+(``_LayerStep``, which prepares the left factor once per table).  A box
+layer of a product kernel with a constant tail is ``tail**n`` times the
+outer product of the two axis layers.  Whatever only needs integrals of the
 iterates over the lower set of t (a single column, the series function,
 the resolvent bound, the Picard certificate layers) never builds layers:
 by Fubini those integrals advance by one matrix-vector product with the
@@ -293,47 +295,170 @@ def _ext_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_update(A: np.ndarray, R: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """One recursion step R'[i, j] = sum_l W[i-j, l-j] A[i, l] R[l, j].
+# below this size a triangular product is one plain matrix product
+_TRI_LEAF = 96
 
-    Only the lower triangles of A and R enter.  In a range of six or more
-    panels the weight of node l is 1 except for the three end weights at
-    each end, and since l - j <= 2 and i - l <= 2 cannot both hold there,
-    it is a factor of i - l times a factor of l - j.  Folding those
-    factors into the first three subdiagonals of A and of R makes the
-    step one matrix product; the diagonals i - j <= 5 are then rewritten
-    with the closed short-range rules, and the diagonal is 0 (a one-point
-    range is null).  Products follow ``_ext_matmul``: no entry is NaN.
+
+def _tri_matmul(A: np.ndarray, R: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``A @ R`` for square A and R that are zero above the diagonal.
+
+    The product is lower triangular too.  Halving the index range, its
+    two diagonal blocks are the triangular products of the diagonal
+    blocks and recurse, and the block below them is one product
+    ``A[h:, :] @ R[:, :h]``: m**3 / 4 multiply-adds on top of the halves,
+    about m**3 / 3 in all against m**3 for ``A @ R``.  Blocks up to
+    ``_TRI_LEAF`` rows are plain products.  Every block is written in
+    place into one output: fresh zeros, whose views the recursion passes
+    down as ``out``.
     """
+    if out is None:
+        out = np.zeros(A.shape)
     m = A.shape[0]
-    A, R = np.tril(A), np.tril(R)
-    fin_a, fin_r = np.isfinite(A), np.isfinite(R)
-    hits = None
-    if not (fin_a.all() and fin_r.all()):
-        hits = np.tril(_inf_hits(A, R), -1)
-        A, R = np.where(fin_a, A, 0.0), np.where(fin_r, R, 0.0)
-    short = min(m, 6)
-    a_sub = [np.diagonal(A, -e).copy() for e in range(short)]
-    r_sub = [np.diagonal(R, -d).copy() for d in range(short)]
-    if m > 6:
-        for d, c in enumerate(W[m - 1, :3]):
-            k = np.arange(m - d)
-            A[k + d, k] *= c
-            R[k + d, k] *= c
-    out = A @ R
-    for N in range(1, short):
-        j = np.arange(m - N)
-        out[j + N, j] = sum(W[N, d] * a_sub[N - d][j + d] * r_sub[d][j]
-                            for d in range(N + 1))
-    if hits is not None:
-        out[hits] = np.inf
-    np.fill_diagonal(out, 0.0)
+    if m <= _TRI_LEAF:
+        np.matmul(A, R, out=out)
+        return out
+    h = m // 2
+    _tri_matmul(A[:h, :h], R[:h, :h], out[:h, :h])
+    _tri_matmul(A[h:, h:], R[h:, h:], out[h:, h:])
+    np.matmul(A[h:, :], R[:, :h], out=out[h:, :h])
     return out
+
+
+def _subdiag(X: np.ndarray, d: int) -> np.ndarray:
+    """The writable view of ``X[k + d, k]`` in a C-contiguous square X."""
+    m = X.shape[0]
+    return X.reshape(-1)[d * m::m + 1]
+
+
+class _LayerStep:
+    """``R -> _layer_update(A, R, W)`` with the left factor A prepared once.
+
+    R'[i, j] = sum_l W[i-j, l-j] A[i, l] R[l, j], from the lower triangles
+    of A and R only.  In a range of six or more panels the weight of node
+    l is 1 except for the three end weights at each end, and since
+    l - j <= 2 and i - l <= 2 cannot both hold there, it is a factor of
+    i - l times a factor of l - j.  Folding those factors into the first
+    three subdiagonals of A and of R makes the step one triangular
+    product (``_tri_matmul``); the diagonals i - j <= 5 are then
+    rewritten with the closed short-range rules, and the diagonal is 0 (a
+    one-point range is null).  Products follow ``_ext_matmul``: no entry
+    is NaN.
+
+    Preparing A takes its lower triangle, multiplied by the node weights
+    ``w`` of its second index when given (0 * inf = 0), its positive and
+    +inf masks when it is not finite, its short subdiagonals and the
+    end-weight fold, so a table pays them once, not once per layer.
+    """
+
+    def __init__(self, A: np.ndarray, W: np.ndarray,
+                 w: Optional[np.ndarray] = None):
+        m = A.shape[0]
+        self.W, self.short = W, min(m, 6)
+        low = np.zeros((m, m))
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.multiply(A, 1.0 if w is None else w, out=low,
+                        where=_tril_mask(m))
+        fin = np.isfinite(low)
+        self.pos = self.inf = None
+        if not fin.all():
+            self.pos = (low > 0).astype(float)
+            self.inf = (low == np.inf).astype(float)
+            low[~fin] = 0.0
+        self.sub = [_subdiag(low, e).copy() for e in range(self.short)]
+        self._fold(low)
+        self.A = low
+
+    def _fold(self, X: np.ndarray) -> None:
+        m = X.shape[0]
+        if m > 6:
+            for d, c in enumerate(self.W[m - 1, :3]):
+                _subdiag(X, d)[:] *= c
+
+    def _hits(self, R: np.ndarray, r_finite: bool) -> np.ndarray:
+        """Where a term pairs a positive factor with a positive infinite
+        one (R not yet cleared of its non-finite entries)."""
+        acc = np.zeros(R.shape)
+        if self.inf is not None:
+            acc += _tri_matmul(self.inf, (R > 0).astype(float))
+        if not r_finite:
+            pos = self.pos if self.pos is not None else \
+                (self.A > 0).astype(float)
+            acc += _tri_matmul(pos, (R == np.inf).astype(float))
+        return acc > 0
+
+    def __call__(self, R: np.ndarray) -> np.ndarray:
+        m, W = R.shape[0], self.W
+        R = np.where(_tril_mask(m), R, 0.0)
+        fin = np.isfinite(R)
+        r_finite = bool(fin.all())
+        hits = None
+        if self.inf is not None or not r_finite:
+            hits = self._hits(R, r_finite)
+            R[~fin] = 0.0
+        r_sub = [_subdiag(R, d).copy() for d in range(self.short)]
+        self._fold(R)
+        out = _tri_matmul(self.A, R)
+        for N in range(1, self.short):
+            k = m - N
+            _subdiag(out, N)[:] = sum(W[N, d] * self.sub[N - d][d:d + k]
+                                      * r_sub[d][:k] for d in range(N + 1))
+        if hits is not None:
+            out[hits] = np.inf
+        np.fill_diagonal(out, 0.0)
+        return out
+
+
+def _layer_update(A: np.ndarray, R: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """One recursion step R'[i, j] = sum_l W[i-j, l-j] A[i, l] R[l, j]
+    (see ``_LayerStep``)."""
+    return _LayerStep(A, W)(R)
 
 
 def _sorted_atoms(measure: DiscreteMeasure):
     order = np.argsort(measure.points)
     return measure.points[order], measure.masses[order]
+
+
+def _grid_density(measure, nodes: np.ndarray) -> np.ndarray:
+    """Node weights of uniform grids along the last axis of ``nodes``: the
+    density of the measure times the panel width."""
+    h = nodes[..., 1:2] - nodes[..., :1]
+    if isinstance(measure, Lebesgue):
+        return np.full(nodes.shape, h)
+    if isinstance(measure, WeightedLebesgue):
+        w = np.asarray(measure.weight(nodes), dtype=float)
+        if np.any(w < 0):
+            raise ValueError("measure weights must be nonnegative")
+        return h * w
+    raise TypeError(f"measure {measure!r} has no density on a grid")
+
+
+def _kernel_power(kernel: Kernel, p: float, t, s) -> np.ndarray:
+    vals = kernel.eval_grid(t, s)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return vals**p
+
+
+def _row_integrals(kernel: Kernel, measure, p: float, lo: float,
+                   ts: np.ndarray, level: int) -> np.ndarray:
+    """Integral of k(t, u)**p over [lo, t] for each t > lo of ``ts``, on
+    the dyadic grid of [lo, t] at ``level``.
+
+    The value of ``GridOperator.on_interval(kernel, measure, p, lo, t,
+    level)`` and its ``row_integral(kernel_row())`` for every t at once:
+    one block of grid rows, one kernel evaluation, one dot product per
+    row.  Each row is copied out of the block for its dot product: BLAS
+    may sum a row that starts off the usual alignment in another order.
+    """
+    ts = np.asarray(ts, dtype=float)
+    nodes = np.linspace(lo, ts, 2**level + 1, axis=-1)
+    f = _kernel_power(kernel, p, np.broadcast_to(ts[:, None], nodes.shape),
+                      nodes)
+    rows = range_weights_matrix(nodes.shape[1])[-1] \
+        * _grid_density(measure, nodes)
+    return np.array([float(_ext_matmul(r.copy(), fr.copy()))
+                     for r, fr in zip(rows, f)])
 
 
 class GridOperator:
@@ -359,17 +484,8 @@ class GridOperator:
     @classmethod
     def on_nodes(cls, kernel, measure, p, nodes: np.ndarray) -> "GridOperator":
         """Over uniform interval nodes, against the density of the measure."""
-        h = nodes[1] - nodes[0]
-        if isinstance(measure, Lebesgue):
-            dens = np.full(nodes.size, h)
-        elif isinstance(measure, WeightedLebesgue):
-            w = np.asarray(measure.weight(nodes), dtype=float)
-            if np.any(w < 0):
-                raise ValueError("measure weights must be nonnegative")
-            dens = h * w
-        else:
-            raise TypeError(f"measure {measure!r} has no density on a grid")
-        return cls(kernel, p, nodes, dens, range_weights_matrix(nodes.size))
+        return cls(kernel, p, nodes, _grid_density(measure, nodes),
+                   range_weights_matrix(nodes.size))
 
     @classmethod
     def on_atoms(cls, kernel, measure: DiscreteMeasure, p,
@@ -400,15 +516,11 @@ class GridOperator:
             nodes, masses = np.append(nodes, t), np.append(masses, 0.0)
         return cls(kernel, p, nodes, masses)
 
-    def _power(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        vals = self.kernel.eval_grid(t, s)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return vals**self.p
-
     def _triangle(self) -> np.ndarray:
         m = self.nodes.size
-        vals = self._power(np.broadcast_to(self.nodes[:, None], (m, m)),
-                           np.broadcast_to(self.nodes[None, :], (m, m)))
+        vals = _kernel_power(self.kernel, self.p,
+                             np.broadcast_to(self.nodes[:, None], (m, m)),
+                             np.broadcast_to(self.nodes[None, :], (m, m)))
         return np.where(_tril_mask(m), vals, 0.0) if self.ordered else vals
 
     @cached_property
@@ -441,12 +553,14 @@ class GridOperator:
 
     def kernel_row(self) -> np.ndarray:
         """k(t, u)**p at the last node t, for every node u."""
-        return self._power(np.full(self.nodes.size, self.nodes[-1]),
-                           self.nodes)
+        return _kernel_power(self.kernel, self.p,
+                             np.full(self.nodes.size, self.nodes[-1]),
+                             self.nodes)
 
     def kernel_column(self, s: float) -> np.ndarray:
         """k(u, s)**p for every node u."""
-        return self._power(self.nodes, np.full(self.nodes.size, float(s)))
+        return _kernel_power(self.kernel, self.p, self.nodes,
+                             np.full(self.nodes.size, float(s)))
 
     @cached_property
     def row_weights(self) -> np.ndarray:
@@ -486,24 +600,26 @@ class GridOperator:
             Q[hit] = np.inf
         return Q
 
-    def _step(self, A: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def _stepper(self, left: np.ndarray):
+        """``R -> integral over [s, t] of left(t, u) R(u, s) mu(du)``."""
         if self.W is None:
-            return _ext_matmul(A, R)
-        return _layer_update(A, R, self.W)
+            A = _ext_mul(left, self.weights[None, :])
+            return lambda R: _ext_matmul(A, R)
+        return _LayerStep(left, self.W, self.weights)
 
     def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """``integral over [s, t] of left(t, u) right(u, s) mu(du)`` on
         the grid."""
-        return self._step(_ext_mul(left, self.weights[None, :]), right)
+        return self._stepper(left)(right)
 
     def layers(self, n_max: int) -> np.ndarray:
         """The iterated kernels ``R_1 = kp, ..., R_{n_max}`` on the grid."""
         m = self.nodes.size
         out = np.empty((n_max, m, m))
         out[0] = self.kp
-        A = _ext_mul(self.kp, self.weights[None, :])
+        step = self._stepper(self.kp)
         for n in range(1, n_max):
-            out[n] = self._step(A, out[n - 1])
+            out[n] = step(out[n - 1])
         return out
 
 
@@ -897,14 +1013,24 @@ def _fractional_layers(kernel: FractionalKernel, p, nodes,
 # ---------------------------------------------------------------------------
 
 
-def _two_level_err(fine: np.ndarray, coarse: np.ndarray) -> float:
-    """Largest difference of two grid levels where both are finite; inf
-    when no entry is."""
+def _two_level_err(fine: np.ndarray, coarse: np.ndarray
+                   ) -> Tuple[float, str]:
+    """Largest difference of two grid levels where both are finite (inf
+    when no entry is), and the status it supports.
+
+    The status is ``unknown-accuracy`` when that difference is inf or a
+    layer n >= 2 is not finite at an entry where layer 1, the kernel
+    power, is: there the grid did not resolve the iterate (a kernel
+    with an integrable singularity on the diagonal gives ``inf`` layers
+    while its iterates are finite); otherwise ``certified``.
+    """
     finite = np.isfinite(fine) & np.isfinite(coarse)
     if not finite.any():
-        return math.inf
+        return math.inf, "unknown-accuracy"
     diff = np.subtract(fine, coarse, out=np.zeros_like(coarse), where=finite)
-    return float(np.abs(diff, out=diff).max())
+    err = float(np.abs(diff, out=diff).max())
+    resolved = not (finite[0] > finite[1:]).any()
+    return err, "certified" if resolved else "unknown-accuracy"
 
 
 def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
@@ -978,18 +1104,13 @@ def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
         )
 
     layers = GridOperator.on_nodes(kernel, measure, p, grid.nodes).layers(n_max)
-    err = 0.0
-    status = "certified"
+    err, status = 0.0, "unknown-accuracy"
     if estimate_error:
         fine = GridOperator.on_nodes(kernel, measure, p,
                                      grid.refine().nodes).layers(n_max)
         fine_restricted = fine[:, ::2, ::2]
-        err = _two_level_err(fine_restricted, layers)
+        err, status = _two_level_err(fine_restricted, layers)
         layers = fine_restricted
-        if not math.isfinite(err):
-            status = "unknown-accuracy"
-    else:
-        status = "unknown-accuracy"
     return ResolventTable(
         grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
         measure=measure, ordered=True, family=kernel.family, status=status,
@@ -1032,7 +1153,7 @@ def _box_iterated(kernel, measure, p, n_max, grid, estimate_error):
         coarse_grid = QuadratureGrid.for_box(box, grid.level - 1)
         coarse = _box_layers(kernel, measure, p, coarse_grid, n_max)
         fine_r = layers[:, ::2, ::2, ::2, ::2]
-        err = _two_level_err(fine_r, coarse)
+        err, status = _two_level_err(fine_r, coarse)
     elif not estimate_error:
         status = "unknown-accuracy"
     return ResolventTable(

@@ -237,6 +237,26 @@ def test_cli_entry_point_subprocess():
     assert proc.stdout.splitlines()[1].startswith("1,")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["ml", "--alpha", "0.1", "--beta", "1", "--z", "100"], 2),
+    (["ml", "--alpha", "1", "--beta", "1", "--z", "1e300"], 2),
+    (["solve", "--problem", "abel", "--alpha", "0.1", "--grid-level", "2"], 2),
+    (["ml", "--alpha", "-1", "--beta", "1", "--z", "1"], 1),
+])
+def test_cli_errors_exit_with_one_line(argv, code):
+    # bad arguments exit 1, overflow exits 2, each with one stderr line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "volgron", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("volgron: ")
+
+
 def test_domain_measure_serialisers_round_trip():
     from volgron.config import domain_to_json, measure_to_json
 

@@ -431,6 +431,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ["resolvent", "--config", "demos/configs/constant.json",
      "--grid-level", "8"],
     ["solve", "--problem", "volterra"],
+    # the fine grid has m = 1025: the triangular product splits 3+ times
+    ["resolvent", "--config", "demos/configs/constant.json",
+     "--grid-level", "9"],
 ])
 def test_cli_stdout_identical_across_blas_threads(args):
     outs = []

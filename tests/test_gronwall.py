@@ -18,10 +18,11 @@ from volgron.gronwall import (
 from volgron.kernels import (
     CallableKernel,
     FractionalKernel,
+    SeparableKernel,
     VoidKernel,
     constant_kernel,
 )
-from volgron.measures import DiscreteMeasure, Lebesgue
+from volgron.measures import DiscreteMeasure, Lebesgue, WeightedLebesgue
 
 DOM = Interval1D(0.0, 1.0)
 
@@ -375,3 +376,64 @@ def test_null_lower_set_edges():
     sv = resolvent_bound(2.0, constant_kernel(1.0), Lebesgue(), 1.0, 0.0,
                          domain=DOM)
     assert sv.sum == 2.0 and sv.converged
+
+
+# ---------------------------------------------------------------------------
+# batched v with an l term
+# ---------------------------------------------------------------------------
+
+
+def loop_v_at(inp, t, level):
+    """v(t) with its own grid operator per point (the per-node route)."""
+    from volgron.resolvent import GridOperator
+
+    base = float(inp.v0_fn()(np.asarray(float(t))))
+    if float(t) <= inp.domain.lo:
+        return base
+    op = GridOperator.on_interval(inp.l, inp.measure, inp.p, inp.domain.lo,
+                                  t, level)
+    return base + op.row_integral(op.kernel_row()) ** (1.0 / inp.p)
+
+
+WEIGHTED_MU = WeightedLebesgue(lambda x: 1.0 + 0.6 * np.asarray(x, float))
+L_SEP = SeparableKernel(k0=lambda t: 1.0 + 0.3 * np.asarray(t, float),
+                        k1=lambda s: 0.8 + 0.16 * np.asarray(s, float))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("l_kernel", [constant_kernel(0.7), L_SEP],
+                         ids=["constant", "separable"])
+@pytest.mark.parametrize("measure", [Lebesgue(), WEIGHTED_MU],
+                         ids=["lebesgue", "weighted"])
+def test_batched_v_matches_per_node_loop(measure, l_kernel, p):
+    inp = GronwallInput(v0=lambda x: 1.0 + np.asarray(x, dtype=float) ** 2,
+                        k=constant_kernel(1.0), measure=measure, p=p,
+                        domain=DOM, l=l_kernel)
+    nodes = np.linspace(0.0, 0.9, 65)
+    ref = np.array([loop_v_at(inp, x, 6) for x in nodes])
+    new = inp._v_values(nodes, 6)
+    single = np.array([inp.v_at(float(x), level=6) for x in nodes])
+    if isinstance(measure, Lebesgue):
+        np.testing.assert_array_equal(new, ref)
+        np.testing.assert_array_equal(single, ref)
+    else:
+        np.testing.assert_allclose(new, ref, rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(single, ref, rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("measure", [Lebesgue(), WEIGHTED_MU],
+                         ids=["lebesgue", "weighted"])
+def test_gronwall_bounds_with_l_match_per_node_route(measure, monkeypatch):
+    inp = GronwallInput(v0=1.0, k=L_SEP, measure=measure, p=1.0, domain=DOM,
+                        l=constant_kernel(0.6))
+    new = (gronwall_bound(inp, 0.8, level=6),
+           gronwall_sequence_bound(inp, 1.0, 4, 0.8, level=6))
+    monkeypatch.setattr(
+        GronwallInput, "_v_values",
+        lambda self, ts, level=8: np.array([loop_v_at(self, x, level)
+                                            for x in ts]))
+    ref = (gronwall_bound(inp, 0.8, level=6),
+           gronwall_sequence_bound(inp, 1.0, 4, 0.8, level=6))
+    rtol = 0.0 if isinstance(measure, Lebesgue) else 4e-16
+    for a, b in zip(new, ref):
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
