@@ -9,10 +9,12 @@ identical invocations produce identical bytes.  Resolvent tables are
 written chunk by chunk as they are formatted, never held as one string.
 
 Exit codes: 0 on success, 1 on configuration errors and bad arguments
-(unknown subcommand, malformed configuration, unreadable file, a value
-outside its range), 2 on numerical failure (overflow, or no certified
-result where one was demanded).  Errors print one ``volgron: ...`` line
-on stderr, never a traceback.  Relative ``--out`` paths are resolved
+(unknown subcommand, malformed or unsupported configuration, unreadable
+file, a value outside its range), 2 on numerical failure (a value above
+the float range, an unconverged ``ml`` series or ``solve`` certificate,
+an infinite ``gronwall`` bound, a failed ``selftest``), after any output
+is written.  Errors print one ``volgron: ...`` line on stderr, never a
+traceback.  Relative ``--out`` paths are resolved
 against the directory named by the ``VOLGRON_OUT_DIR`` environment
 variable when it is set.
 """
@@ -41,7 +43,11 @@ __all__ = ["main"]
 
 
 class _CliError(Exception):
-    pass
+    """Bad arguments or configuration: exit 1."""
+
+
+class _NoResult(Exception):
+    """No finite or certified result, after any output is written: exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +131,8 @@ def _cmd_ml(args) -> int:
             f"{str(sv.converged).lower()}\n")
     _write([text], args.out)
     if not sv.converged:
-        return 2
+        raise _NoResult(f"Mittag-Leffler series not converged: sum "
+                        f"{sv.sum:g} after {sv.terms_used} terms")
     return 0
 
 
@@ -185,7 +192,10 @@ def _cmd_gronwall(args) -> int:
                          args.points + 1)[1:].tolist()
     curve = gronwall_curve(inp, ts, level=args.grid_level)
     _write([curve.to_csv()], args.out)
-    return 0 if np.all(np.isfinite(curve.sharp)) else 2
+    bad = ~np.isfinite(curve.sharp)
+    if np.any(bad):
+        raise _NoResult(f"bound is infinite from t={curve.ts[bad][0]:.17g}")
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -215,14 +225,18 @@ def _cmd_solve(args) -> int:
             lines.append(f"{n},{_fmt(t)},{_fmt(float(measured))},"
                          f"{_fmt(cert.bound(n, j))}")
     _write(["\n".join(lines) + "\n"], args.out)
-    return 0 if cert.converged else 2
+    if not cert.converged:
+        raise _NoResult(f"certified bound not below {args.tol:g} after "
+                        f"{cert.iterates} iterations")
+    return 0
 
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    ok = run_all(seed=args.seed)
-    return 0 if ok else 2
+    if not run_all(seed=args.seed):
+        raise _NoResult("selftest failed")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -246,11 +260,17 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"volgron: {exc}", file=sys.stderr)
         return 1
+    except _NoResult as exc:
+        print(f"volgron: {exc}", file=sys.stderr)
+        return 2
     except DivergentBoundError as exc:
         print(f"volgron: certificate failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"volgron: bad argument: {exc}", file=sys.stderr)
+        return 1
+    except NotImplementedError as exc:
+        print(f"volgron: unsupported configuration: {exc}", file=sys.stderr)
         return 1
     except (OverflowError, FloatingPointError) as exc:
         print(f"volgron: numerical failure: {exc}", file=sys.stderr)

@@ -37,12 +37,12 @@ from .resolvent import (
     FractionalResolventParams,
     GridOperator,
     _ext_matmul,
+    _factorial_log,
     _sorted_atoms,
-    _tail_factorial,
-    _tail_fractional_series,
     _void_q,
     series_function_I,
 )
+from .specfun import _tail_sum
 from .specfun import beta as beta_fn
 from .specfun import ln_gamma
 
@@ -159,7 +159,7 @@ class PicardCertificate:
         Dominates the table-based bound for regular kernels."""
         lam0 = float(self.lambda0_profile[t_index])
         d0 = float(self.w0[t_index])
-        return d0 * _tail_factorial(lam0**self.p, self.p, n)
+        return d0 * _tail_sum(_factorial_log(lam0**self.p, self.p), n)
 
 
 def lipschitz_profile(lambda_kernel: Kernel, measure: MeasureSpec, p: float,
@@ -303,8 +303,9 @@ def _interval_certificate(spec, w0: np.ndarray, n_layers: int,
         sup_w0 = np.maximum.accumulate(cw0)
         tail = np.array([
             0.0 if t <= kern.t0 else
-            sup_w0[j] * _tail_fractional_series(prm, float(t) - kern.t0, p,
-                                                n_layers + 1)
+            sup_w0[j] * _tail_sum(
+                lambda k: prm.log_series_bound(k, float(t) - kern.t0, 0.0),
+                n_layers + 1)
             for j, t in enumerate(cnodes)
         ])
         return PicardCertificate(ts=cnodes.copy(), p=p, b_layers=b, tail=tail,
@@ -330,7 +331,8 @@ def _interval_certificate(spec, w0: np.ndarray, n_layers: int,
     lam0 = np.where(q_prof > 0, q_prof, 0.0) ** (1.0 / p)
     sup_w0 = np.maximum.accumulate(cw0)
     tail = np.array([
-        sup_w0[j] * _tail_factorial(float(q_prof[j]), p, n_layers + 1)
+        sup_w0[j] * _tail_sum(_factorial_log(float(q_prof[j]), p),
+                              n_layers + 1)
         for j in range(m)
     ])
     return PicardCertificate(ts=cnodes.copy(), p=p, b_layers=b, tail=tail,
@@ -379,7 +381,8 @@ def picard_solve(op: EvolutionOperatorSpec, x0: np.ndarray, tol: float,
         bad = int(np.argmax(~np.isfinite(b1)))
         raise DivergentBoundError(
             f"certified bound B_1 is infinite at t={cert.ts[bad]}: the "
-            "iterate-weighted series of the initial increment diverges"
+            "iterate-weighted series of the initial increment diverges "
+            "or exceeds the float range"
         )
 
     n_needed = None

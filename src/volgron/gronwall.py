@@ -28,15 +28,15 @@ from .resolvent import (
     FractionalResolventParams,
     GridOperator,
     _ext_mul,
+    _factorial_log,
     _integrated_series,
     _row_integrals,
     _sorted_atoms,
-    _tail_factorial,
-    _tail_fractional_series,
     _void_q,
     fractional_inequality_constant,
 )
-from .specfun import MLParams, SeriesValue, ln_gamma, mittag_leffler
+from .specfun import (MLParams, SeriesValue, _log_series, _tail_sum,
+                      ln_gamma, mittag_leffler)
 
 __all__ = [
     "GronwallInput",
@@ -259,6 +259,7 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
         vp = lambda s: np.asarray(vf(s), dtype=float)**p  # noqa: E731
         sup_v = float(np.max(np.asarray(
             vf(np.linspace(kernel.t0, float(t), 257)), dtype=float)))
+        log_ml = lambda k: params.log_series_bound(k, X, 0.0)  # noqa: E731
         total = 0.0
         for n in range(1, n_cap + 1):
             ln_c = n * ln_gamma(ap) - ln_gamma(ap * n)
@@ -266,7 +267,7 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
                                      a=kernel.t0, b=float(t), tol=1e-13)
             integ = math.exp(ln_c) * max(res.value, 0.0)
             total += integ ** (1.0 / p)
-            tail_ml = sup_v * _tail_fractional_series(params, X, p, n + 1)
+            tail_ml = sup_v * _tail_sum(log_ml, n + 1)
             if tail_ml < tol:
                 return SeriesValue(v_t + total, tail_ml, n, True)
         return SeriesValue(v_t + total, math.inf, n_cap, False)
@@ -395,11 +396,12 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     # stops after its first term with an infinite tail
     log_q = _log_q(Q)
     row_kv = _ext_mul(row, _ext_mul(kcol, v_vals**p))
+    log_fact = _factorial_log(q, p)
     sharp = v_t
     tail = math.inf
     for n in range(0, n_cap):
         sharp += _factorial_term(row_kv, log_q, n, p)
-        tail = sup_v * _tail_factorial(q, p, n + 2)
+        tail = sup_v * _tail_sum(log_fact, n + 2)
         if tail < tol or not math.isfinite(q):
             break
 
@@ -417,7 +419,7 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
         int_l = op_l.row_integral(lcol)
         for n in range(0, n_cap):
             lser += _factorial_term(row_l, log_q, n, p)
-            ltail = int_l ** (1.0 / p) * _tail_factorial(q, p, n + 1)
+            ltail = int_l ** (1.0 / p) * _tail_sum(log_fact, n + 1)
             if ltail < tol or not math.isfinite(q):
                 break
     sup_form = head + lser
@@ -504,23 +506,20 @@ def fractional_box_sup_bound(k0_t: float, alphas: Sequence[float],
     for prm in params:
         if prm.beta_p >= 1.0:
             raise ValueError("series requires beta * p < 1 on every axis")
+    X = [float(ti) - float(t0i) for ti, t0i in zip(t, t0)]
+    if min(X) <= 0:
+        raise ValueError("need t above the origin on every axis")
     c_ab = fractional_inequality_constant(alphas, betas, p)
     c_b = math.exp(sum(ln_gamma(1.0 - prm.beta_p) / p for prm in params))
-    total = 0.0
-    prev = None
-    for n in range(1, max_terms + 1):
-        log_term = n * math.log(k0_t) if k0_t > 0 else -math.inf
-        for prm, ti, t0i in zip(params, t, t0):
-            g = prm.gap
-            X = float(ti) - float(t0i)
-            if X <= 0:
-                raise ValueError("need t above the origin on every axis")
-            log_term += (n * (ln_gamma(prm.alpha_p) + g * math.log(X))
-                         - ln_gamma(g * n + 1.0)) / p
-        term = math.exp(log_term)
-        total += term
-        if prev is not None and prev > 0 and term / prev < 0.5 and term < tol:
-            total += 2.0 * term
-            break
-        prev = term
-    return v_sup * c_ab * c_b * total
+    log_k0 = math.log(k0_t) if k0_t > 0 else -math.inf
+
+    def log_term(n: int) -> float:
+        return n * log_k0 + sum(
+            (n * (ln_gamma(prm.alpha_p) + prm.gap * math.log(Xi))
+             - ln_gamma(prm.gap * n + 1.0)) / p
+            for prm, Xi in zip(params, X))
+
+    # tol is absolute: scale it down by an upper bound of the series
+    sv = _log_series(log_term, 1, tol / max(1.0, _tail_sum(log_term, 1)),
+                     max_terms)
+    return v_sup * c_ab * c_b * (sv.sum + sv.tail_bound)

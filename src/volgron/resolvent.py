@@ -34,7 +34,11 @@ finiteness defines the tractable kernel class) carry certified truncation
 tails dispatched per family: factorial majorants for monotone kernels on
 intervals, geometric sums in the void case, Mittag-Leffler majorants for
 fractional kernels, the exponential closed form for multiplicative
-kernels.  Kernels with no recognised majorant still get a truncated
+kernels.  Every majorant is a log-concave series given by its log-terms
+(``_factorial_log``, ``FractionalResolventParams.log_layer_bound`` and
+``log_series_bound``) and summed by ``specfun._log_series``, which
+bounds the remainder by twice the next term once the term ratio is
+below 1/2, and returns ``inf`` instead of raising on float overflow.  Kernels with no recognised majorant still get a truncated
 value, flagged as unconverged.  Quadrature error is controlled separately
 by the grid level (series evaluate their recursions one level finer than
 requested).
@@ -70,7 +74,8 @@ from .measures import (
     WeightedLebesgue,
 )
 from .quadrature import integrate, range_weights_matrix
-from .specfun import SeriesValue, gamma_min_point, ln_gamma
+from .specfun import (SeriesValue, _log_series, _tail_sum, gamma_min_point,
+                      ln_gamma)
 
 __all__ = [
     "MaskedEntryError",
@@ -685,6 +690,23 @@ class FractionalResolventParams:
         """log of the largest gamma-quotient product over all layer counts."""
         return max(self.ln_c_hat(i) for i in range(1, self.n_gamma + 1))
 
+    def log_layer_bound(self, n: int, x: float, y: float,
+                        ln_c: float) -> float:
+        """log of the closed-form bound of the n-th iterate at gap x and
+        inner offset y, with gamma-quotient constant ``exp(ln_c)``."""
+        g, bp = self.gap, self.beta_p
+        log_v = (ln_c + n * ln_gamma(self.alpha_p) - ln_gamma(g * n + bp)
+                 + (g * n + bp - 1.0) * math.log(x))
+        return log_v - bp * math.log(y) if bp > 0 else log_v
+
+    def log_series_bound(self, n: int, X: float, ln_c: float) -> float:
+        """log of the p-th root of the n-th layer bound integrated over a
+        lower set of length X (a beta integral; needs beta_p < 1)."""
+        g = self.gap
+        return (ln_c + n * ln_gamma(self.alpha_p)
+                + ln_gamma(1.0 - self.beta_p) + g * n * math.log(X)
+                - ln_gamma(g * n + 1.0)) / self.p
+
 
 def fractional_f_bound(params: FractionalResolventParams, n: int,
                        x: float, y: float) -> float:
@@ -696,15 +718,9 @@ def fractional_f_bound(params: FractionalResolventParams, n: int,
         raise ValueError("n must be >= 1")
     if x <= 0:
         raise ValueError("x must be positive")
-    bp = params.beta_p
-    if bp > 0 and y <= 0:
+    if params.beta_p > 0 and y <= 0:
         return math.inf
-    g = params.gap
-    log_v = (params.ln_c_hat(n) + n * ln_gamma(params.alpha_p)
-             - ln_gamma(g * n + bp) + (g * n + bp - 1.0) * math.log(x))
-    if bp > 0:
-        log_v -= bp * math.log(y)
-    return math.exp(log_v)
+    return math.exp(params.log_layer_bound(n, x, y, params.ln_c_hat(n)))
 
 
 def fractional_inequality_constant(alphas: Sequence[float],
@@ -1146,16 +1162,14 @@ def _box_layers(kernel: ProductKernel, measure, p, grid: QuadratureGrid,
 
 def _box_iterated(kernel, measure, p, n_max, grid, estimate_error):
     layers = _box_layers(kernel, measure, p, grid, n_max)
-    err = 0.0
-    status = "certified"
+    # level 1 has no coarser level to compare with
+    err, status = 0.0, "unknown-accuracy"
     if estimate_error and grid.level >= 2:
         box = ProductBox(tuple(Interval1D(a[0], a[-1]) for a in grid.axes))
         coarse_grid = QuadratureGrid.for_box(box, grid.level - 1)
         coarse = _box_layers(kernel, measure, p, coarse_grid, n_max)
         fine_r = layers[:, ::2, ::2, ::2, ::2]
         err, status = _two_level_err(fine_r, coarse)
-    elif not estimate_error:
-        status = "unknown-accuracy"
     return ResolventTable(
         grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
         measure=measure, ordered=True, family="product", status=status,
@@ -1184,73 +1198,11 @@ def compose_layers(table: ResolventTable, m: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tail_factorial(q: float, p: float, n_start: int,
-                    max_terms: int = 100_000) -> float:
-    """Upper bound for sum over n >= n_start of (q**n / n!)**(1/p)."""
-    if q == 0.0:
-        return 0.0
-    if not math.isfinite(q):
-        return math.inf
-    total = 0.0
-    term = math.exp((n_start * math.log(q) - ln_gamma(n_start + 1.0)) / p)
-    n = n_start
-    for _ in range(max_terms):
-        total += term
-        ratio = (q / (n + 1.0)) ** (1.0 / p)
-        if ratio < 0.5:
-            return total + 2.0 * term * ratio
-        term *= ratio
-        n += 1
-    return math.inf
-
-
-def _tail_fractional_point(params: FractionalResolventParams, x: float,
-                           y: float, n_start: int,
-                           max_terms: int = 100_000) -> float:
-    """Upper bound for the tail of the fractional iterate series at a
-    point, summed from n_start, using the closed-form layer bounds with
-    the capped gamma-quotient constant."""
-    g, bp = params.gap, params.beta_p
-    ln_cap = params.ln_c_hat_max
-    total = 0.0
-    prev = None
-    n = n_start
-    for _ in range(max_terms):
-        log_t = (ln_cap + n * ln_gamma(params.alpha_p)
-                 + (g * n + bp - 1.0) * math.log(x) - ln_gamma(g * n + bp))
-        if bp > 0:
-            log_t -= bp * math.log(y)
-        term = math.exp(log_t)
-        total += term
-        if prev is not None and prev > 0 and term / prev < 0.5:
-            return total + 2.0 * term
-        prev = term
-        n += 1
-    return math.inf
-
-
-def _tail_fractional_series(params: FractionalResolventParams, X: float,
-                            p: float, n_start: int,
-                            max_terms: int = 100_000) -> float:
-    """Upper bound for the tail of the series function of a fractional
-    kernel: p-th roots of beta-integrated layer bounds."""
-    g, bp = params.gap, params.beta_p
-    if bp >= 1.0:
-        return math.inf
-    ln_cap = params.ln_c_hat_max
-    total = 0.0
-    prev = None
-    n = n_start
-    for _ in range(max_terms):
-        log_t = (ln_cap + n * ln_gamma(params.alpha_p) + ln_gamma(1.0 - bp)
-                 + g * n * math.log(X) - ln_gamma(g * n + 1.0)) / p
-        term = math.exp(log_t)
-        total += term
-        if prev is not None and prev > 0 and term / prev < 0.5:
-            return total + 2.0 * term
-        prev = term
-        n += 1
-    return math.inf
+def _factorial_log(q: float, p: float):
+    """log-terms ``n -> log((q**n / n!)**(1/p))`` of the factorial
+    majorant (n >= 1); ``q = inf`` gives infinite terms."""
+    log_q = math.log(q) if q > 0 else -math.inf
+    return lambda n: (n * log_q - ln_gamma(n + 1.0)) / p
 
 
 # ---------------------------------------------------------------------------
@@ -1318,6 +1270,8 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
         # beta > 0: one profile, advanced one layer per term
         prof = (_FractionalProfile(params, x / y)
                 if params.beta_p > 0 and y > 0 else None)
+        log_maj = lambda k: params.log_layer_bound(  # noqa: E731
+            k, x, y, params.ln_c_hat_max)
         total = 0.0
         for n in range(1, n_cap + 1):
             term = (float(prof.f(n, x, y)) if prof is not None
@@ -1325,7 +1279,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
             if math.isinf(term):
                 return SeriesValue(math.inf, 0.0, n, True)
             total += term
-            tail = _tail_fractional_point(params, x, y, n + 1)
+            tail = _tail_sum(log_maj, n + 1)
             if tail < tol:
                 return SeriesValue(total, tail, n, True)
         return SeriesValue(total, math.inf, n_cap, False)
@@ -1345,6 +1299,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     q = float(op.column(np.ones(op.nodes.size))[-1])
     majorant_ok = (kernel.monotone and math.isfinite(q)
                    and not isinstance(measure, DiscreteMeasure))
+    log_fact = _factorial_log(q, 1.0)
     total = 0.0
     for n in range(1, n_cap + 1):
         term = float(rho[-1])
@@ -1357,7 +1312,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
             return SeriesValue(total, math.inf, n - 1, False)
         total += term
         if majorant_ok:
-            tail = kp_at * _tail_factorial(q, 1.0, n)
+            tail = kp_at * _tail_sum(log_fact, n)
             if tail < tol:
                 return SeriesValue(total, tail, n, True)
         elif term < tol * 1e-3 and n > 3:
@@ -1460,32 +1415,16 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
             raise ValueError("need t above the kernel origin")
         if params.beta_p >= 1.0:
             return SeriesValue(math.inf, 0.0, 0, True)
-        if kernel.beta == 0.0:
-            ap = params.alpha_p
-            total = 0.0
-            for n in range(1, n_cap + 1):
-                log_a = (n * ln_gamma(ap) + ap * n * math.log(X)
-                         - ln_gamma(ap * n + 1.0))
-                total += math.exp(log_a / p)
-                tail = _tail_fractional_series(params, X, p, n + 1)
-                if tail < tol:
-                    return SeriesValue(total, tail, n, True)
-            return SeriesValue(total, math.inf, n_cap, False)
-        # beta > 0: certified upper envelope only
-        g, bp = params.gap, params.beta_p
-        total = 0.0
-        prev = None
-        for n in range(1, n_cap + 1):
-            log_t = (params.ln_c_hat(n) + n * ln_gamma(params.alpha_p)
-                     + ln_gamma(1.0 - bp) + g * n * math.log(X)
-                     - ln_gamma(g * n + 1.0)) / p
-            term = math.exp(log_t)
-            total += term
-            if prev is not None and prev > 0 and term / prev < 0.5 \
-                    and term < tol:
-                return SeriesValue(total + 2.0 * term, 0.0, n, False)
-            prev = term
-        return SeriesValue(math.inf, 0.0, n_cap, False)
+        # beta = 0: the closed-form terms are their own majorant; beta > 0:
+        # the majorant summed as an upper envelope.  tol is absolute, so it
+        # is scaled down by an upper bound of the sum.
+        exact = kernel.beta == 0.0
+        log_t = lambda n: params.log_series_bound(  # noqa: E731
+            n, X, 0.0 if exact else params.ln_c_hat(n))
+        sv = _log_series(log_t, 1, tol / max(1.0, _tail_sum(log_t, 1)), n_cap)
+        if exact:
+            return sv
+        return SeriesValue(sv.sum + sv.tail_bound, 0.0, sv.terms_used, False)
 
     if domain is None or not isinstance(domain, Interval1D):
         raise ValueError("interval kernels need their interval domain to "
@@ -1526,6 +1465,7 @@ def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
     majorant_ok = (kernel.monotone and not discrete and math.isfinite(q)
                    and math.isfinite(sup_v))
     g = op.column(w)
+    log_fact = _factorial_log(q, p)
     total = 0.0
     for n in range(1, n_cap + 1):
         integ = float(g[-1])
@@ -1533,7 +1473,7 @@ def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
             return SeriesValue(math.inf, 0.0, n, True)
         total += max(integ, 0.0) ** (1.0 / p)
         if majorant_ok:
-            tail = sup_v * _tail_factorial(q, p, n + 1)
+            tail = sup_v * _tail_sum(log_fact, n + 1)
             if tail < tol:
                 return SeriesValue(total, tail, n, True)
         g = op.column(g)

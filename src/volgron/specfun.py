@@ -6,10 +6,13 @@ taking the p-th root of the gamma factor in each denominator,
     sum_{n >= 0} z**n / gamma(alpha*n + beta)**(1/p),
 
 which majorises the resolvent series of fractional kernels raised to the
-p-th power.  Truncation is certified: because the digamma function is
-strictly increasing, the term ratios are eventually strictly decreasing,
-so once a ratio drops below 1/2 the tail is bounded by twice the last
-term.
+p-th power.
+
+Every certified series of the package is summed by ``_log_series``:
+the terms are log-concave (ln gamma is convex), so once a term ratio r
+drops below 1/2 the remainder is at most twice the next term.  A
+term above the float range gives an unconverged ``inf``, never an
+exception.
 
 Log-gamma comes from the platform libm.  Digamma is delegated to
 ``scipy.special``, imported on its first call, so importing this module
@@ -19,7 +22,9 @@ does not load scipy.  Their contracts are pinned by the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "ln_gamma",
@@ -112,47 +117,76 @@ class SeriesValue:
             raise ValueError("tail bound must be nonnegative")
 
 
-def _ml_term(params: MLParams, n: int, log_z: float) -> float:
-    # z**n / gamma(alpha n + beta)**(1/p), in log space to postpone overflow
-    arg = params.alpha * n + params.beta
-    if arg <= 0:
-        # only n = 0 with beta = 0: gamma(0+) = inf, so the term is zero
-        return 0.0
-    return math.exp(n * log_z - ln_gamma(arg) / params.p)
+_LOG_MAX = math.log(sys.float_info.max)  # largest finite exp argument
+_LOG_TINY = math.log(sys.float_info.min)  # below: subnormal terms
+
+
+def _log_series(log_term: Callable[[int], float], n_start: int, tol: float,
+                max_terms: int) -> SeriesValue:
+    """Sum a_n = exp(log_term(n)) over n >= n_start with a certified tail.
+
+    Contract: the differences log_term(n + 1) - log_term(n) never
+    increase (the terms are log-concave), and log_term is never NaN.  A
+    log-term of -inf is a zero term; a -inf after a finite one (or after
+    a -inf) ends the series.  After term n the ratio r = a_{n+1} / a_n
+    bounds every later ratio, so the remainder is at most
+    a_{n+1} / (1 - r), and at most 2 a_{n+1} once r < 1/2.  That bound
+    is the tail: within a factor 2 of the remainder, with the slack over
+    a_{n+1} / (1 - r) left for the rounding of the float sum.  Summing
+    stops when the tail is at most ``tol * max(1, partial sum)``; with
+    ``tol = inf`` at the first ratio below 1/2.  A falling next term
+    below the normal float range also stops the sum, with the tail
+    a_{n+1} / min(1/2, 1 - r): subnormal or zero.
+
+    Never raises: a term above the float range returns sum and tail
+    ``inf``, and running out of ``max_terms`` returns the partial sum
+    with tail ``inf``, both with ``converged=False``.
+    """
+    total = 0.0
+    cur = log_term(n_start)
+    for used in range(1, max_terms + 1):
+        total += math.exp(cur) if cur <= _LOG_MAX else math.inf
+        if total == math.inf:
+            return SeriesValue(math.inf, math.inf, used, False)
+        nxt = log_term(n_start + used)
+        step = nxt - cur if nxt > -math.inf else -math.inf
+        r = math.exp(min(step, 0.0))
+        if r < 0.5 or (r < 1.0 and nxt < _LOG_TINY):
+            rest = math.exp(nxt) / min(0.5, 1.0 - r)
+            if rest <= tol * max(1.0, total):
+                return SeriesValue(total, rest, used, True)
+        cur = nxt
+    return SeriesValue(total, math.inf, max_terms, False)
+
+
+def _tail_sum(log_term: Callable[[int], float], n_start: int) -> float:
+    """Certified upper bound, within a factor 2, for the sum over
+    n >= n_start of ``exp(log_term(n))``: ``_log_series`` with
+    ``tol = inf``, sum plus tail (``inf`` when it does not converge)."""
+    sv = _log_series(log_term, n_start, math.inf, 100_000)
+    return sv.sum + sv.tail_bound
 
 
 def mittag_leffler(params: MLParams, z: float, tol: float = 1e-14,
                    max_terms: int = 100_000) -> SeriesValue:
     """Evaluate the generalised Mittag-Leffler series at z >= 0.
 
-    The series is summed until the current term is below
-    ``tol * max(1, partial sum)`` and the ratio of the last two terms is
-    below 1/2.  Past that point the ratios keep decreasing (the gamma
-    quotient gamma(x + alpha)/gamma(x) is increasing in x because digamma
-    is), so the tail is geometric and bounded by twice the last term.
-
-    For beta = 0 the n = 0 term is taken as zero, the limit convention
-    1/gamma(0+) = 0.
+    Summed by ``_log_series`` from n = 0: the gamma quotient
+    gamma(x + alpha) / gamma(x) is increasing in x because digamma is,
+    so the term ratios never increase.  For beta = 0 the n = 0 term is
+    taken as zero, the limit convention 1/gamma(0+) = 0.  A value above
+    the float range is ``inf`` with ``converged=False``.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if z == 0.0:
-        first = 0.0 if params.beta == 0 else math.exp(-ln_gamma(params.beta) / params.p)
-        return SeriesValue(first, 0.0, 1, True)
+    log_z = math.log(z) if z > 0 else -math.inf
 
-    log_z = math.log(z)
-    total = _ml_term(params, 0, log_z)
-    prev = None
-    for n in range(1, max_terms + 1):
-        term = _ml_term(params, n, log_z)
-        if math.isinf(term) or math.isinf(total):
-            return SeriesValue(math.inf, math.inf, n, False)
-        total += term
-        if prev is not None and prev > 0.0:
-            ratio = term / prev
-            if ratio < 0.5 and term < tol * max(1.0, total):
-                return SeriesValue(total, 2.0 * term, n + 1, True)
-        prev = term
-    return SeriesValue(total, math.inf, max_terms + 1, False)
+    def log_term(n: int) -> float:
+        arg = params.alpha * n + params.beta
+        if arg <= 0:
+            return -math.inf  # n = 0 with beta = 0
+        return (n * log_z if n else 0.0) - ln_gamma(arg) / params.p
+
+    return _log_series(log_term, 0, tol, max_terms)

@@ -257,6 +257,26 @@ def test_cli_errors_exit_with_one_line(argv, code):
     assert len(lines) == 1 and lines[0].startswith("volgron: ")
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gronwall", "--config", os.path.join(CONFIGS, "fractional.json"),
+      "--grid-level", "4", "--points", "2"], 2),
+    (["solve", "--problem", "banach", "--max-iter", "1"], 2),
+    (["ml", "--alpha", "0.1", "--beta", "1", "--z", "100"], 2),
+    (["gronwall", "--config", os.path.join(CONFIGS, "product.json")], 1),
+])
+def test_cli_failures_after_output_print_one_line(argv, code, capsys):
+    # an infinite bound, an unconverged certificate or series: stdout is
+    # written, then one stderr line; an unsupported geometry exits 1
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out != "") == (code == 2)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("volgron: ")
+
+
 def test_domain_measure_serialisers_round_trip():
     from volgron.config import domain_to_json, measure_to_json
 

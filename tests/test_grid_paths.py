@@ -34,9 +34,9 @@ from volgron.problems import volterra_problem
 from volgron.quadrature import range_weights_matrix
 from volgron.resolvent import (
     GridOperator,
+    _factorial_log,
     _layer_update,
     _sorted_atoms,
-    _tail_factorial,
     compose_layers,
     iterated_kernels,
     product_bound,
@@ -44,7 +44,7 @@ from volgron.resolvent import (
     sum_decomposition,
     volterra_residual,
 )
-from volgron.specfun import SeriesValue
+from volgron.specfun import SeriesValue, _tail_sum
 
 DOM = Interval1D(0.0, 1.0)
 WEIGHTED = WeightedLebesgue(lambda x: 1.0 + 0.5 * np.asarray(x, dtype=float))
@@ -140,7 +140,7 @@ def table_route_series(kernel, measure, p, t, tol, level, v=None,
         integ = float(row_w @ (cur[-1] * v_vals**p))
         total += max(integ, 0.0) ** (1.0 / p)
         if majorant_ok:
-            tail = sup_v * _tail_factorial(q, p, n + 1)
+            tail = sup_v * _tail_sum(_factorial_log(q, p), n + 1)
             if tail < tol:
                 return SeriesValue(total, tail, n, True)
         cur = advance(cur)
@@ -185,7 +185,8 @@ def table_route_certificate(spec, w0, n_layers, cert_level):
                   for layer in op.layers(n_layers)])
     q_prof = (W * op.kp) @ op.weights
     sup_w0 = np.maximum.accumulate(cw0)
-    tail = np.array([sup_w0[j] * _tail_factorial(float(q), p, n_layers + 1)
+    tail = np.array([sup_w0[j] * _tail_sum(_factorial_log(float(q), p),
+                                           n_layers + 1)
                      for j, q in enumerate(q_prof)])
     return PicardCertificate(
         ts=cnodes.copy(), p=p, b_layers=b, tail=tail,

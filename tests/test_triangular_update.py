@@ -207,6 +207,21 @@ def test_singular_box_table_is_unknown_accuracy():
     assert tab.status == "unknown-accuracy"
 
 
+def test_level_one_box_table_is_unknown_accuracy():
+    # level 1 has no coarser level to compare with, and it is far off
+    kernel = ProductKernel((CallableKernel(
+        lambda T, S: np.cos(3 * T) + np.sin(5 * S) + 2), constant_kernel(1.0)))
+    measure = ProductMeasure((Lebesgue(), Lebesgue()))
+    box = ProductBox((DOM, DOM))
+    coarse, fine = (iterated_kernels(kernel, measure, 1.0, 3,
+                                     QuadratureGrid.for_box(box, level))
+                    for level in (1, 4))
+    assert coarse.status == "unknown-accuracy"
+    assert fine.status == "certified"
+    assert abs(coarse.values[2][-1, -1, 0, 0]
+               - fine.values[2][-1, -1, 0, 0]) > 0.02
+
+
 SEP = SeparableKernel(k0=lambda t: 1.0 + 0.4 * np.asarray(t, dtype=float),
                       k1=lambda s: 0.9 + 0.27 * np.asarray(s, dtype=float))
 SMOOTH = {
