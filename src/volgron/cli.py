@@ -184,8 +184,7 @@ def _cmd_gronwall(args) -> int:
     inp = GronwallInput(v0=v0, k=cfg.kernel, measure=cfg.measure, p=p,
                         domain=cfg.domain, l=l_kernel)
     if isinstance(cfg.domain, VoidSet):
-        if not isinstance(cfg.measure, DiscreteMeasure):
-            raise _CliError("void-ordered configurations need atoms")
+        # GronwallInput has checked that the measure is discrete
         ts = sorted(set(cfg.measure.points.tolist()))
     else:
         ts = np.linspace(cfg.domain.lo, cfg.domain.hi,

@@ -12,10 +12,10 @@ increment is finite, with the per-iterate error bound
 
 where ``w0`` is the increment profile of the starting point.  The engine
 computes these bounds before iterating (they depend only on x0 and its
-image), refuses divergent certificates up front, and certifies series
-tails through the same family dispatch as the resolvent module:
-factorial majorants for monotone kernels, Mittag-Leffler majorants for
-fractional ones, exact geometric sums in the void case.
+image) and refuses divergent certificates up front.  Certificates and
+Lipschitz profiles come from the family dispatch ``resolvent._plan``:
+geometric sums for void kernels, Mittag-Leffler tails for fractional
+ones, factorial tails for monotone kernels on the grid.
 
 Sequential continuity of the operator and completeness of the distance
 family are caller contracts; for grid functions on finite grids both
@@ -31,20 +31,11 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .domains import Interval1D, VoidSet
-from .kernels import FractionalKernel, Kernel, VoidKernel
-from .measures import DiscreteMeasure, Lebesgue, MeasureSpec
-from .resolvent import (
-    FractionalResolventParams,
-    GridOperator,
-    _ext_matmul,
-    _factorial_log,
-    _sorted_atoms,
-    _void_q,
-    series_function_I,
-)
+from .kernels import Kernel
+from .measures import MeasureSpec
+from .resolvent import (DivergentBoundError, _factorial_log, _plan,
+                        series_function_I)
 from .specfun import _tail_sum
-from .specfun import beta as beta_fn
-from .specfun import ln_gamma
 
 __all__ = [
     "DivergentBoundError",
@@ -55,10 +46,6 @@ __all__ = [
     "picard_solve",
     "error_bound",
 ]
-
-
-class DivergentBoundError(RuntimeError):
-    """The first certified bound is already infinite; iteration refused."""
 
 
 def _abs_metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,34 +154,11 @@ def lipschitz_profile(lambda_kernel: Kernel, measure: MeasureSpec, p: float,
     """The Lipschitz constant (integral of lambda**p over the lower
     set)**(1/p) at t.
 
-    Fractional kernels use the beta-function closed form, void kernels
-    the exact atom sum; everything else is grid quadrature.  A divergent
-    integral returns infinity.
+    Fractional kernels on Lebesgue measure use the beta-function closed
+    form, void kernels the exact atom sum; everything else is grid
+    quadrature.  A divergent integral returns infinity.
     """
-    if isinstance(lambda_kernel, VoidKernel):
-        if not isinstance(measure, DiscreteMeasure):
-            raise TypeError("void-ordered kernels integrate against atoms")
-        return _void_q(lambda_kernel, measure, p) ** (1.0 / p)
-    if not isinstance(domain, Interval1D):
-        raise TypeError("ordered profiles need an interval domain")
-    if isinstance(lambda_kernel, FractionalKernel) and \
-            isinstance(measure, Lebesgue):
-        prm = FractionalResolventParams(lambda_kernel.alpha,
-                                        lambda_kernel.beta, p)
-        X = float(t) - lambda_kernel.t0
-        if X <= 0:
-            return 0.0
-        if prm.beta_p >= 1.0:
-            return math.inf
-        val = X**prm.gap * beta_fn(1.0 - prm.beta_p, prm.alpha_p)
-        return val ** (1.0 / p)
-    if float(t) <= domain.lo:
-        return 0.0  # null lower set
-    op = GridOperator.on_interval(lambda_kernel, measure, p, domain.lo, t,
-                                  level)
-    vals = op.kernel_row()
-    total = op.row_integral(np.where(np.isfinite(vals), vals, np.inf))
-    return total ** (1.0 / p) if math.isfinite(total) else math.inf
+    return _plan(lambda_kernel, measure, p).lipschitz(t, domain, level)
 
 
 def uniqueness_certificate(lambda_kernel: Kernel, measure: MeasureSpec,
@@ -216,128 +180,14 @@ def uniqueness_certificate(lambda_kernel: Kernel, measure: MeasureSpec,
 # ---------------------------------------------------------------------------
 
 
-def _void_certificate(spec, w0: np.ndarray, n_layers: int) -> PicardCertificate:
-    kern = spec.lambda_kernel
-    measure = spec.measure
-    p = spec.p
-    q = _void_q(kern, measure, p)
-    if q >= 1.0:
-        raise DivergentBoundError(
-            f"void-order geometric certificate diverges: kernel mass "
-            f"{q:.6g} >= 1"
-        )
-    pts, masses = _sorted_atoms(measure)
-    k1p = np.asarray(kern.k1(pts), dtype=float)**p
-    c0 = float(np.dot(masses, k1p * w0**p))
-    lam0 = q ** (1.0 / p)
-    b = np.empty((n_layers, spec.grid.size))
-    for i in range(1, n_layers + 1):
-        b[i - 1] = (c0 * q ** (i - 1)) ** (1.0 / p)
-    tail_scalar = (c0 ** (1.0 / p) * q ** (n_layers / p)
-                   / (1.0 - lam0)) if c0 > 0 else 0.0
-    tail = np.full(spec.grid.size, tail_scalar)
-    return PicardCertificate(ts=spec.grid.copy(), p=p, b_layers=b, tail=tail,
-                             lambda0_profile=np.full(spec.grid.size, lam0),
-                             w0=w0.copy(), family="void")
-
-
-def _fractional_b_layers(kern: FractionalKernel, p, nodes, w0,
-                         n_layers) -> np.ndarray:
-    """Series terms for a beta-zero fractional kernel, in closed form.
-
-    The increment profile is dominated by its right-continuous step
-    majorant, ``w0[k]**p`` on ``(nodes[k-1], nodes[k]]`` and ``w0[0]**p`` on
-    ``[t0, nodes[0]]`` (sound: the step dominates the profile).  Against
-    the closed-form layer ``c_i (t - s)**(delta - 1)``, ``delta = alpha_p i``,
-    each step integrates exactly, so term i at t is
-
-        (c_i * sum over k of w0[k]**p ((t - a_k)**delta - (t - b_k)**delta)
-         / delta)**(1/p)
-
-    with the step ends ``a_k < b_k`` clipped to ``[t0, t]``: one
-    vectorised O(m**2) evaluation per layer and no quadrature error.
-    """
-    if kern.beta != 0.0:
-        raise DivergentBoundError(
-            "certificates for fractional increment kernels are "
-            "implemented for beta = 0"
-        )
-    prm = FractionalResolventParams(kern.alpha, kern.beta, p)
-    ap = prm.alpha_p
-    t = np.maximum(nodes, kern.t0)[:, None]
-    ends = np.concatenate(([kern.t0], nodes))[None, :]
-    # distance from t to every step end, ends above t clipped to t
-    dist = t - np.clip(ends, kern.t0, t)
-    step = w0**p
-    b = np.zeros((n_layers, nodes.size))
-    for i in range(1, n_layers + 1):
-        delta = ap * i
-        ln_c = i * ln_gamma(ap) - ln_gamma(delta)
-        powers = dist**delta
-        weights = (powers[:, :-1] - powers[:, 1:]) * (math.exp(ln_c) / delta)
-        integ = _ext_matmul(weights, step)
-        b[i - 1] = np.maximum(integ, 0.0) ** (1.0 / p)
-    return b
-
-
-def _interval_certificate(spec, w0: np.ndarray, n_layers: int,
-                          cert_level: int) -> PicardCertificate:
-    kern = spec.lambda_kernel
-    measure = spec.measure
-    p = spec.p
-    nodes = spec.grid
-    op_level = int(round(math.log2(nodes.size - 1)))
-    if 2**op_level + 1 != nodes.size:
-        raise ValueError("operator grids must be dyadic (2**level + 1 nodes)")
-    stride = 2 ** max(op_level - cert_level, 0)
-    cnodes = nodes[::stride]
-    cw0 = w0[::stride]
-    m = cnodes.size
-
-    if isinstance(kern, FractionalKernel):
-        kern.require_p(p)
-        b = _fractional_b_layers(kern, p, cnodes, cw0, n_layers)
-        prm = FractionalResolventParams(kern.alpha, kern.beta, p)
-        lam0 = np.array([lipschitz_profile(kern, measure, p, t, spec.domain)
-                         for t in cnodes])
-        sup_w0 = np.maximum.accumulate(cw0)
-        tail = np.array([
-            0.0 if t <= kern.t0 else
-            sup_w0[j] * _tail_sum(
-                lambda k: prm.log_series_bound(k, float(t) - kern.t0, 0.0),
-                n_layers + 1)
-            for j, t in enumerate(cnodes)
-        ])
-        return PicardCertificate(ts=cnodes.copy(), p=p, b_layers=b, tail=tail,
-                                 lambda0_profile=lam0, w0=cw0.copy(),
-                                 family="fractional")
-
-    if not kern.monotone:
-        raise DivergentBoundError(
-            "no certified tail for this increment kernel: it must be "
-            "monotone, fractional with beta = 0, or void-ordered"
-        )
-
-    # by Fubini the layer integrals g_i = integral of R_i(t, s) w0(s)**p
-    # advance by g_1 = B w0**p and g_{i+1} = B g_i
-    op = GridOperator.on_nodes(kern, measure, p, cnodes)
-    q_prof = op.column(np.ones(m))
-    b = np.empty((n_layers, m))
-    g = op.column(cw0**p)
-    for i in range(n_layers):
-        b[i] = np.maximum(g, 0.0) ** (1.0 / p)
-        if i + 1 < n_layers:
-            g = op.column(g)
-    lam0 = np.where(q_prof > 0, q_prof, 0.0) ** (1.0 / p)
-    sup_w0 = np.maximum.accumulate(cw0)
-    tail = np.array([
-        sup_w0[j] * _tail_sum(_factorial_log(float(q_prof[j]), p),
-                              n_layers + 1)
-        for j in range(m)
-    ])
-    return PicardCertificate(ts=cnodes.copy(), p=p, b_layers=b, tail=tail,
-                             lambda0_profile=lam0, w0=cw0.copy(),
-                             family=kern.family)
+def _certificate(spec, w0: np.ndarray, n_layers: int,
+                 cert_level: int) -> PicardCertificate:
+    plan = _plan(spec.lambda_kernel, spec.measure, spec.p)
+    ts, w0, b, tail, lam0 = plan.certificate(spec.grid, w0, n_layers,
+                                             cert_level, spec.domain)
+    return PicardCertificate(ts=ts.copy(), p=spec.p, b_layers=b, tail=tail,
+                             lambda0_profile=lam0, w0=w0.copy(),
+                             family=spec.lambda_kernel.family)
 
 
 def picard_solve(op: EvolutionOperatorSpec, x0: np.ndarray, tol: float,
@@ -371,10 +221,7 @@ def picard_solve(op: EvolutionOperatorSpec, x0: np.ndarray, tol: float,
         w0 = op.distance_profile(x0, x1)
 
     n_layers = n_layers or max(max_iter + 5, 20)
-    if op.ordered:
-        cert = _interval_certificate(op, w0, n_layers, cert_level)
-    else:
-        cert = _void_certificate(op, w0, n_layers)
+    cert = _certificate(op, w0, n_layers, cert_level)
 
     b1 = cert.bound_profile(1)
     if not np.all(np.isfinite(b1)):

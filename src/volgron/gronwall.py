@@ -22,17 +22,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .domains import Interval1D, VoidSet
-from .kernels import FractionalKernel, Kernel, VoidKernel, _as_fn
-from .measures import DiscreteMeasure, MeasureSpec
+from .kernels import Kernel, _as_fn
+from .measures import MeasureSpec
 from .resolvent import (
     FractionalResolventParams,
     GridOperator,
     _ext_mul,
     _factorial_log,
-    _integrated_series,
+    _plan,
     _row_integrals,
-    _sorted_atoms,
-    _void_q,
     fractional_inequality_constant,
 )
 from .specfun import (MLParams, SeriesValue, _log_series, _tail_sum,
@@ -72,20 +70,19 @@ class GronwallInput:
     l: Optional[Kernel] = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        # the void case reads its closed forms from the plans of k and l
+        k_plan, l_plan = (None if f is None else _plan(f, self.measure, self.p)
+                          for f in (self.k, self.l))
         if isinstance(self.domain, VoidSet):
-            if not isinstance(self.k, VoidKernel):
-                raise TypeError("void-ordered inputs need a void kernel k")
-            if self.l is not None and not isinstance(self.l, VoidKernel):
-                raise TypeError("void-ordered inputs need a void kernel l")
-            if not isinstance(self.measure, DiscreteMeasure):
-                raise TypeError("void-ordered inputs integrate against atoms")
+            if k_plan.ordered or (l_plan is not None and l_plan.ordered):
+                raise TypeError("void-ordered inputs need void kernels")
         elif not isinstance(self.domain, Interval1D):
             raise NotImplementedError(
                 "bounds are implemented for one interval axis (m = 1) and "
                 "the void order (m = 0)"
             )
+        object.__setattr__(self, "_k_plan", k_plan)
+        object.__setattr__(self, "_l_plan", l_plan)
 
     @property
     def m(self) -> int:
@@ -109,7 +106,7 @@ class GronwallInput:
             return out
         r = 1.0 / self.p
         if self.m == 0:
-            return out + _void_q(self.l, self.measure, self.p) ** r
+            return out + self._l_plan.q ** r
         live = ts > self.domain.lo  # elsewhere the lower set is null
         if live.any():
             ints = _row_integrals(self.l, self.measure, self.p,
@@ -156,64 +153,16 @@ def check_vanishing(kernel: Kernel, measure: MeasureSpec, p: float,
     fallback is Unknown, never a false positive.  Criteria:
 
     * void order: mass below one and a finite weighted integral of u0;
-    * fractional kernels: finiteness of the pole-weighted integral of
-      ``u0**p`` (for beta = 0 plain local p-integrability);
+    * fractional kernels on Lebesgue measure: finiteness of the
+      pole-weighted integral of ``u0**p`` (for beta = 0 plain local
+      p-integrability);
     * monotone interval kernels: a finite gap integral together with
       either a grid-bounded u0 and finite series function
       (``strategy="bounded_u0"``) or a finite integral of ``k**p u0**p``
       (``strategy="summability"``); ``"auto"`` tries both.
     """
-    u0f = _as_fn(u0)
-    if isinstance(kernel, VoidKernel):
-        q = _void_q(kernel, measure, p)
-        if q >= 1.0:
-            return VanishingReport(False, "void mass >= 1")
-        pts, masses = _sorted_atoms(measure)
-        w = float(np.dot(masses,
-                         np.asarray(kernel.k1(pts), dtype=float)**p
-                         * np.asarray(u0f(pts), dtype=float)**p))
-        if math.isfinite(w):
-            return VanishingReport(True, "void geometric decay")
-        return VanishingReport(False, "weighted integral infinite")
-
-    if isinstance(kernel, FractionalKernel):
-        kernel.require_p(p)
-        from .quadrature import integrate_singular
-
-        bp = kernel.beta * p
-        if bp >= 1.0:
-            return VanishingReport(False, "pole exponent too large")
-        res = integrate_singular(
-            lambda s: np.asarray(u0f(s), dtype=float)**p,
-            gamma=1.0 - bp, delta=1.0,
-            a=kernel.t0, b=float(t), tol=1e-9,
-        )
-        if res.converged and math.isfinite(res.value):
-            return VanishingReport(True, "pole-weighted integral finite")
-        return VanishingReport(False, "pole-weighted integral not certified")
-
-    if not isinstance(domain, Interval1D):
-        return VanishingReport(False, "unrecognised setting")
-    if not kernel.monotone:
-        return VanishingReport(False, "kernel not declared monotone")
-
-    op = GridOperator.on_interval(kernel, measure, p, domain.lo, t, level)
-    kcol = op.kernel_row()
-    q = op.row_integral(np.where(np.isfinite(kcol), kcol, np.inf))
-    if not math.isfinite(q):
-        return VanishingReport(False, "gap integral infinite")
-
-    u0_vals = np.asarray(u0f(op.nodes), dtype=float)
-    if strategy in ("auto", "bounded_u0"):
-        if np.all(np.isfinite(u0_vals)):
-            return VanishingReport(True, "bounded u0 with finite series function")
-        if strategy == "bounded_u0":
-            return VanishingReport(False, "u0 unbounded on the grid")
-    if strategy in ("auto", "summability"):
-        wint = op.row_integral(_ext_mul(kcol, u0_vals**p))
-        if math.isfinite(wint):
-            return VanishingReport(True, "finite integral of k**p u0**p")
-    return VanishingReport(False, "no criterion applied")
+    return VanishingReport(*_plan(kernel, measure, p).vanishing(
+        u0, t, domain, strategy, level))
 
 
 def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
@@ -225,57 +174,13 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
     This is the right-hand side of the resolvent inequality.  In the
     void case the series is geometric and summed in closed form; on
     intervals the terms are quadrature values with a factorial tail
-    (monotone kernels), and fractional kernels with beta = 0 use
-    closed-form layers.  The caller is responsible for having checked
+    (monotone kernels).  Fractional kernels with beta = 0 on Lebesgue
+    measure use closed-form layers: for a constant v the bound is
+    ``v (1 + I(t))`` with the series function I, for a function v each
+    term is one singular quadrature.  The caller is responsible for having checked
     the vanishing condition; this routine only evaluates the bound.
     """
-    vf = _as_fn(v)
-    if isinstance(kernel, VoidKernel):
-        q = _void_q(kernel, measure, p)
-        v_t = float(vf(np.asarray(float(t))))
-        if q >= 1.0:
-            return SeriesValue(math.inf, 0.0, 0, True)
-        pts, masses = _sorted_atoms(measure)
-        k1p = np.asarray(kernel.k1(pts), dtype=float)**p
-        vi = float(np.dot(masses, k1p * np.asarray(vf(pts), dtype=float)**p))
-        r = q ** (1.0 / p)
-        return SeriesValue(v_t + vi ** (1.0 / p) / (1.0 - r), 0.0, 1, True)
-
-    if domain is None or not isinstance(domain, Interval1D):
-        raise ValueError("interval kernels need their interval domain")
-    v_t = float(vf(np.asarray(float(t))))
-    if float(t) <= domain.lo and not isinstance(measure, DiscreteMeasure):
-        return SeriesValue(v_t, 0.0, 0, True)  # null lower set
-
-    if isinstance(kernel, FractionalKernel) and kernel.beta == 0.0:
-        from .quadrature import integrate_singular
-
-        kernel.require_p(p)
-        params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
-        ap = params.alpha_p
-        X = float(t) - kernel.t0
-        if X <= 0:
-            return SeriesValue(v_t, 0.0, 0, True)
-        vp = lambda s: np.asarray(vf(s), dtype=float)**p  # noqa: E731
-        sup_v = float(np.max(np.asarray(
-            vf(np.linspace(kernel.t0, float(t), 257)), dtype=float)))
-        log_ml = lambda k: params.log_series_bound(k, X, 0.0)  # noqa: E731
-        total = 0.0
-        for n in range(1, n_cap + 1):
-            ln_c = n * ln_gamma(ap) - ln_gamma(ap * n)
-            res = integrate_singular(vp, gamma=1.0, delta=ap * n,
-                                     a=kernel.t0, b=float(t), tol=1e-13)
-            integ = math.exp(ln_c) * max(res.value, 0.0)
-            total += integ ** (1.0 / p)
-            tail_ml = sup_v * _tail_sum(log_ml, n + 1)
-            if tail_ml < tol:
-                return SeriesValue(v_t + total, tail_ml, n, True)
-        return SeriesValue(v_t + total, math.inf, n_cap, False)
-
-    sv = _integrated_series(kernel, measure, p, domain.lo, float(t), tol,
-                            level, n_cap, v=vf)
-    return SeriesValue(v_t + sv.sum, sv.tail_bound, sv.terms_used,
-                       sv.converged)
+    return _plan(kernel, measure, p).bound(v, t, domain, tol, level, n_cap)
 
 
 def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
@@ -294,13 +199,10 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     v0f = inp.v0_fn()
 
     if inp.m == 0:
-        q = _void_q(inp.k, inp.measure, p)
-        pts, masses = _sorted_atoms(inp.measure)
-        k1p = np.asarray(inp.k.k1(pts), dtype=float)**p
-        v_vals = inp._v_values(pts)
-        u0_vals = np.asarray(u0f(pts), dtype=float)
-        int_kv = float(np.dot(masses, k1p * v_vals**p))
-        int_ku = float(np.dot(masses, k1p * u0_vals**p))
+        plan = inp._k_plan
+        q, pts = plan.q, plan.nodes
+        int_kv = plan.weighted(inp._v_values(pts))
+        int_ku = plan.weighted(u0f(pts))
         v_t = inp.v_at(float(t))
         w_n = (q ** (n - 1) * int_ku) ** (1.0 / p)
         sharp = v_t + w_n + sum(
@@ -308,27 +210,18 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
         )
         sup_v0 = float(np.max(np.asarray(v0f(pts), dtype=float)))
         geo = sum(q ** (i / p) for i in range(0, n))
-        if inp.l is not None:
-            l1p = np.asarray(inp.l.k1(pts), dtype=float)**p
-            int_l = float(np.dot(masses, l1p))
-            lser = sum((q**i * int_l) ** (1.0 / p) for i in range(0, n))
-        else:
-            lser = 0.0
+        lser = 0.0 if inp.l is None else sum(
+            (q**i * inp._l_plan.q) ** (1.0 / p) for i in range(0, n))
         sup_form = sup_v0 * geo + w_n + lser
         return sharp, sup_form, w_n
 
-    lo = inp.domain.lo
-    if float(t) <= lo:
-        v0_t = float(v0f(np.asarray(float(t))))
-        return v0_t, v0_t, 0.0  # null lower set: only v0 survives
-    op = GridOperator.on_interval(inp.k, inp.measure, p, lo, t, level)
-    nodes, row = op.nodes, op.row_weights
-    kcol = op.kernel_row()
-    Q = op.suffix_integrals(kcol)
-    q = Q[0]
-    v_vals = inp._v_values(nodes, level)  # nodes[-1] is t
+    grid = _lower_set(inp, t, level)
+    if grid is None:  # null lower set: only v0 survives
+        v0_t = float(inp.v0_fn()(np.asarray(float(t))))
+        return v0_t, v0_t, 0.0
+    op, kcol, Q, v_vals = grid
+    nodes, row, q, v_t = op.nodes, op.row_weights, Q[0], float(v_vals[-1])
     u0_vals = np.asarray(u0f(nodes), dtype=float)
-    v_t = float(v_vals[-1])
 
     log_q = _log_q(Q)
     row_k = _ext_mul(row, kcol)
@@ -342,8 +235,8 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
                 for i in range(1, n)), 1.0) if q > 0 else 1.0
     lser = 0.0
     if inp.l is not None:
-        lcol = GridOperator.on_interval(inp.l, inp.measure, p, lo, t,
-                                        level).kernel_row()
+        lcol = GridOperator.on_interval(inp.l, inp.measure, p, inp.domain.lo,
+                                        t, level).kernel_row()
         row_l = _ext_mul(row, lcol)
         lser = sum(_factorial_term(row_l, log_q, i, p) for i in range(0, n))
     sup_form = (sup_v0 * head if sup_v0 > 0 else 0.0) + w_n + lser
@@ -360,36 +253,25 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     """
     p = inp.p
     if inp.m == 0:
-        q = _void_q(inp.k, inp.measure, p)
-        if q >= 1.0:
+        plan = inp._k_plan
+        if plan.q >= 1.0:
             return math.inf, math.inf, 0.0
-        r = q ** (1.0 / p)
-        pts, masses = _sorted_atoms(inp.measure)
-        k1p = np.asarray(inp.k.k1(pts), dtype=float)**p
-        v_vals = inp._v_values(pts)
-        int_kv = float(np.dot(masses, k1p * v_vals**p))
+        r = plan.q ** (1.0 / p)
+        int_kv = plan.weighted(inp._v_values(plan.nodes))
         v_t = inp.v_at(float(t))
         sharp = v_t + int_kv ** (1.0 / p) / (1.0 - r)
-        sup_v0 = float(np.max(np.asarray(inp.v0_fn()(pts), dtype=float)))
-        if inp.l is not None:
-            l1p = np.asarray(inp.l.k1(pts), dtype=float)**p
-            int_l = float(np.dot(masses, l1p)) ** (1.0 / p)
-        else:
-            int_l = 0.0
+        sup_v0 = float(np.max(np.asarray(inp.v0_fn()(plan.nodes),
+                                         dtype=float)))
+        int_l = 0.0 if inp.l is None else inp._l_plan.q ** (1.0 / p)
         sup_form = (sup_v0 + int_l) / (1.0 - r)
         return sharp, sup_form, 0.0
 
-    lo = inp.domain.lo
-    if float(t) <= lo:
+    grid = _lower_set(inp, t, level)
+    if grid is None:  # null lower set: only v0 survives
         v0_t = float(inp.v0_fn()(np.asarray(float(t))))
-        return v0_t, v0_t, 0.0  # null lower set: only v0 survives
-    op = GridOperator.on_interval(inp.k, inp.measure, p, lo, t, level)
-    nodes, row = op.nodes, op.row_weights
-    kcol = op.kernel_row()
-    Q = op.suffix_integrals(kcol)
-    q = Q[0]
-    v_vals = inp._v_values(nodes, level)  # nodes[-1] is t
-    v_t = float(v_vals[-1])
+        return v0_t, v0_t, 0.0
+    op, kcol, Q, v_vals = grid
+    nodes, row, q, v_t = op.nodes, op.row_weights, Q[0], float(v_vals[-1])
     sup_v = float(np.max(v_vals))
 
     # an infinite gap integral leaves no factorial majorant: each loop
@@ -413,7 +295,8 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     lser = 0.0
     ltail = 0.0
     if inp.l is not None:
-        op_l = GridOperator.on_interval(inp.l, inp.measure, p, lo, t, level)
+        op_l = GridOperator.on_interval(inp.l, inp.measure, p, inp.domain.lo,
+                                        t, level)
         lcol = op_l.kernel_row()
         row_l = _ext_mul(row, lcol)
         int_l = op_l.row_integral(lcol)
@@ -425,6 +308,18 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     sup_form = head + lser
     total_tail = tail + ml_tail + ltail
     return sharp, sup_form, total_tail
+
+
+def _lower_set(inp: GronwallInput, t, level: int):
+    """The grid of [lo, t] (None if null), k(t, u)**p, its suffix
+    integrals Q (``Q[0]`` is the gap integral) and v at the nodes."""
+    lo = inp.domain.lo
+    if inp._k_plan.null(lo, t):
+        return None
+    op = GridOperator.on_interval(inp.k, inp.measure, inp.p, lo, t, level)
+    kcol = op.kernel_row()
+    return op, kcol, op.suffix_integrals(kcol), inp._v_values(op.nodes,
+                                                              level)
 
 
 def _log_q(Q: np.ndarray) -> np.ndarray:

@@ -29,18 +29,21 @@ lower-set operator per term (``GridOperator.column``).  Grid values
 follow the convention ``0 * inf = 0``; no layer, table entry, series
 term, sum component or residual is ever NaN.
 
-Series built on top (the resolvent itself, and the series function whose
-finiteness defines the tractable kernel class) carry certified truncation
-tails dispatched per family: factorial majorants for monotone kernels on
-intervals, geometric sums in the void case, Mittag-Leffler majorants for
-fractional kernels, the exponential closed form for multiplicative
-kernels.  Every majorant is a log-concave series given by its log-terms
-(``_factorial_log``, ``FractionalResolventParams.log_layer_bound`` and
-``log_series_bound``) and summed by ``specfun._log_series``, which
-bounds the remainder by twice the next term once the term ratio is
-below 1/2, and returns ``inf`` instead of raising on float overflow.  Kernels with no recognised majorant still get a truncated
-value, flagged as unconverged.  Quadrature error is controlled separately
-by the grid level (series evaluate their recursions one level finer than
+Every entry point here, in ``gronwall`` and in ``fixpoint`` asks one
+dispatch, ``_plan(kernel, measure, p)``, for the path of its family: the
+void order on atoms (geometric closed forms), fractional kernels on
+Lebesgue measure (gamma-quotient closed forms and the ratio profile) or
+the grid (``GridOperator`` on atoms or dyadic intervals, with factorial
+majorants for monotone kernels on atomless measures).  Series carry
+certified truncation tails; every majorant is a log-concave series given
+by its log-terms (``_factorial_log``,
+``FractionalResolventParams.log_layer_bound`` and ``log_series_bound``)
+and summed by ``specfun._log_series``, which bounds the remainder by
+twice the next term once the term ratio is below 1/2, and returns
+``inf`` instead of raising on float overflow.  Kernels with no
+recognised majorant still get a truncated value, flagged as
+unconverged.  Quadrature error is controlled separately by the grid
+level (series evaluate their recursions one level finer than
 requested).
 """
 
@@ -64,6 +67,7 @@ from .kernels import (
     ProductKernel,
     TransformedFractionalKernel,
     VoidKernel,
+    _as_fn,
     _leq_points,
 )
 from .measures import (
@@ -74,8 +78,9 @@ from .measures import (
     WeightedLebesgue,
 )
 from .quadrature import integrate, range_weights_matrix
-from .specfun import (SeriesValue, _log_series, _tail_sum, gamma_min_point,
-                      ln_gamma)
+from .specfun import (_LOG_MAX, SeriesValue, _log_series, _tail_sum,
+                      gamma_min_point, ln_gamma)
+from .specfun import beta as beta_fn
 
 __all__ = [
     "MaskedEntryError",
@@ -420,11 +425,6 @@ def _layer_update(A: np.ndarray, R: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _LayerStep(A, W)(R)
 
 
-def _sorted_atoms(measure: DiscreteMeasure):
-    order = np.argsort(measure.points)
-    return measure.points[order], measure.masses[order]
-
-
 def _grid_density(measure, nodes: np.ndarray) -> np.ndarray:
     """Node weights of uniform grids along the last axis of ``nodes``: the
     density of the measure times the panel width."""
@@ -496,8 +496,9 @@ class GridOperator:
     def on_atoms(cls, kernel, measure: DiscreteMeasure, p,
                  ordered: bool = True) -> "GridOperator":
         """Over all atoms of a discrete measure, in increasing order."""
-        nodes, masses = _sorted_atoms(measure)
-        return cls(kernel, p, nodes, masses, ordered=ordered)
+        order = np.argsort(measure.points)
+        return cls(kernel, p, measure.points[order], measure.masses[order],
+                   ordered=ordered)
 
     @classmethod
     def on_interval(cls, kernel, measure, p, s: float, t: float,
@@ -514,9 +515,9 @@ class GridOperator:
         is not an atom, or the grid of ``on_interval``."""
         if not isinstance(measure, DiscreteMeasure):
             return cls.on_interval(kernel, measure, p, s, t, level)
-        pts, masses = _sorted_atoms(measure)
-        keep = (pts >= s) & (pts <= t)
-        nodes, masses = pts[keep], masses[keep]
+        atoms = cls.on_atoms(kernel, measure, p)
+        keep = (atoms.nodes >= s) & (atoms.nodes <= t)
+        nodes, masses = atoms.nodes[keep], atoms.weights[keep]
         if nodes.size == 0 or not np.isclose(nodes[-1], t):
             nodes, masses = np.append(nodes, t), np.append(masses, 0.0)
         return cls(kernel, p, nodes, masses)
@@ -1003,9 +1004,8 @@ def fractional_f(params: FractionalResolventParams, n: int,
     return float(_FractionalProfile(params, x / y).f(n, x, y))
 
 
-def _fractional_layers(kernel: FractionalKernel, p, nodes,
+def _fractional_layers(params: FractionalResolventParams, t0: float, nodes,
                        n_max) -> Tuple[np.ndarray, float]:
-    params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
     m = nodes.size
     layers = np.zeros((n_max, m, m))
 
@@ -1021,7 +1021,7 @@ def _fractional_layers(kernel: FractionalKernel, p, nodes,
             np.fill_diagonal(vals, _gap_limit(params, n, 1.0))
             layers[n - 1] = vals
         return layers, 0.0
-    return _gap_tables(params, nodes, kernel.t0, n_max)
+    return _gap_tables(params, nodes, t0, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,64 +1073,34 @@ def iterated_kernels(kernel: Kernel, measure: MeasureSpec, p: float,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    return _plan(kernel, measure, p).table(grid, n_max, estimate_error)
 
-    void = isinstance(kernel, VoidKernel)
-    if void and not isinstance(measure, DiscreteMeasure):
-        raise TypeError("void-ordered kernels integrate against atoms")
-    if isinstance(measure, DiscreteMeasure):
-        op = GridOperator.on_atoms(kernel, measure, p, ordered=not void)
-        return ResolventTable(
-            grid=QuadratureGrid.for_points(op.nodes), n_max=n_max, p=p,
-            values=op.layers(n_max), err_est=0.0, measure=measure,
-            ordered=not void, family=kernel.family, status="exact",
-        )
 
-    if grid is None:
-        raise ValueError("continuous measures need an explicit grid")
+# table builders: (plan, grid, n_max, estimate_error) -> (layers, err, status)
 
-    if isinstance(kernel, ProductKernel):
-        return _box_iterated(kernel, measure, p, n_max, grid, estimate_error)
 
-    if grid.ndim != 1:
-        raise ValueError("multi-axis grids require a product kernel")
+def _grid_table(plan, grid, n_max, estimate_error):
+    """GridOperator layers, read from the next finer level when the two
+    levels are compared."""
+    args = (plan.kernel, plan.measure, plan.p)
+    layers = GridOperator.on_nodes(*args, grid.nodes).layers(n_max)
+    if not estimate_error:
+        return layers, 0.0, "unknown-accuracy"
+    fine = GridOperator.on_nodes(*args, grid.refine().nodes).layers(
+        n_max)[:, ::2, ::2]
+    return (fine,) + _two_level_err(fine, layers)
 
-    if isinstance(kernel, FractionalKernel):
-        if not isinstance(measure, Lebesgue):
-            raise TypeError("fractional closed forms hold for Lebesgue measure")
-        kernel.require_p(p)
-        layers, err = _fractional_layers(kernel, p, grid.nodes, n_max)
-        status = "exact" if kernel.beta == 0 else "certified"
-        return ResolventTable(
-            grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
-            measure=measure, ordered=True, family="fractional", status=status,
-        )
 
-    if isinstance(kernel, TransformedFractionalKernel):
-        if not isinstance(measure, Lebesgue):
-            raise TypeError("transformed fractional tables hold for "
-                            "Lebesgue measure")
-        layers, err = _transformed_layers(kernel, p, grid.nodes, n_max)
-        status = "exact" if all(b == 0 for b in kernel.betas) else "certified"
-        return ResolventTable(
-            grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
-            measure=measure, ordered=True, family="transformed-fractional",
-            status=status,
-        )
+def _fractional_table(plan, grid, n_max, estimate_error):
+    layers, err = _fractional_layers(plan.params, plan.kernel.t0,
+                                     grid.nodes, n_max)
+    return layers, err, "certified" if plan.params.beta_p else "exact"
 
-    layers = GridOperator.on_nodes(kernel, measure, p, grid.nodes).layers(n_max)
-    err, status = 0.0, "unknown-accuracy"
-    if estimate_error:
-        fine = GridOperator.on_nodes(kernel, measure, p,
-                                     grid.refine().nodes).layers(n_max)
-        fine_restricted = fine[:, ::2, ::2]
-        err, status = _two_level_err(fine_restricted, layers)
-        layers = fine_restricted
-    return ResolventTable(
-        grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
-        measure=measure, ordered=True, family=kernel.family, status=status,
-    )
+
+def _transformed_table(plan, grid, n_max, estimate_error):
+    layers, err = _transformed_layers(plan.kernel, plan.p, grid.nodes,
+                                      n_max)
+    return layers, err, "certified" if any(plan.kernel.betas) else "exact"
 
 
 def _box_axis_measures(measure, ndim):
@@ -1160,20 +1130,16 @@ def _box_layers(kernel: ProductKernel, measure, p, grid: QuadratureGrid,
     return _ext_mul(R1[:, :, None, :, None], R2[:, None, :, None, :])
 
 
-def _box_iterated(kernel, measure, p, n_max, grid, estimate_error):
-    layers = _box_layers(kernel, measure, p, grid, n_max)
+def _box_table(plan, grid, n_max, estimate_error):
+    args = (plan.kernel, plan.measure, plan.p)
+    layers = _box_layers(*args, grid, n_max)
     # level 1 has no coarser level to compare with
-    err, status = 0.0, "unknown-accuracy"
-    if estimate_error and grid.level >= 2:
-        box = ProductBox(tuple(Interval1D(a[0], a[-1]) for a in grid.axes))
-        coarse_grid = QuadratureGrid.for_box(box, grid.level - 1)
-        coarse = _box_layers(kernel, measure, p, coarse_grid, n_max)
-        fine_r = layers[:, ::2, ::2, ::2, ::2]
-        err, status = _two_level_err(fine_r, coarse)
-    return ResolventTable(
-        grid=grid, n_max=n_max, p=p, values=layers, err_est=err,
-        measure=measure, ordered=True, family="product", status=status,
-    )
+    if not (estimate_error and grid.level >= 2):
+        return layers, 0.0, "unknown-accuracy"
+    box = ProductBox(tuple(Interval1D(a[0], a[-1]) for a in grid.axes))
+    coarse = _box_layers(*args, QuadratureGrid.for_box(box, grid.level - 1),
+                         n_max)
+    return (layers,) + _two_level_err(layers[:, ::2, ::2, ::2, ::2], coarse)
 
 
 def compose_layers(table: ResolventTable, m: int, n: int) -> np.ndarray:
@@ -1206,22 +1172,530 @@ def _factorial_log(q: float, p: float):
 
 
 # ---------------------------------------------------------------------------
-# series operations
+# family dispatch
 # ---------------------------------------------------------------------------
 
 
-def _void_q(kernel: VoidKernel, measure: DiscreteMeasure, p: float) -> float:
-    pts = measure.points
-    vals = np.asarray(kernel.k1(pts), dtype=float)
-    return float(np.dot(measure.masses, vals**p))
+class DivergentBoundError(RuntimeError):
+    """The first certified bound is already infinite; iteration refused."""
 
 
-def _measure_mass(measure, s: float, t: float) -> float:
-    if t <= s:
-        return 0.0
-    res = integrate(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                    Interval1D(s, t), measure, tol=1e-12)
-    return res.value
+class _GridPlan:
+    """``GridOperator`` recursions on the atoms of a discrete measure
+    (exact sums) or on dyadic interval grids; the closed-form plans
+    subclass it and fall back on it where they have no closed form.
+    ``table_layers`` builds interval and box tables, and
+    ``multiplicative`` selects the resolvent ``k(t, s)**p exp(mu([s, t]))``
+    of a multiplicative kernel on an atomless measure.
+    """
+
+    ordered = True
+
+    def __init__(self, kernel: Kernel, measure: MeasureSpec, p: float,
+                 discrete: bool = False, table_layers=_grid_table,
+                 multiplicative: bool = False):
+        self.kernel, self.measure, self.p = kernel, measure, p
+        self.discrete, self.multiplicative = discrete, multiplicative
+        self.table_layers = table_layers
+
+    @property
+    def _factorial(self) -> bool:
+        """Factorial majorants: monotone kernels, atomless measures."""
+        return self.kernel.monotone and not self.discrete
+
+    def _kp(self, t, s) -> float:
+        return float(self.kernel.eval_grid(np.asarray(float(t)),
+                                           np.asarray(float(s)))) ** self.p
+
+    def null(self, s, t) -> bool:
+        """Whether [s, t] is null: at most a point of an atomless measure."""
+        return not self.discrete and float(t) <= float(s)
+
+    def op(self, s, t, level: int, finer: bool = True) -> GridOperator:
+        """The operator on [s, t], one level finer on intervals for series
+        (their quadrature error stays below the truncation tail)."""
+        if finer and not self.discrete:
+            level += 1
+        return GridOperator.on_range(self.kernel, self.measure, self.p,
+                                     float(s), float(t), level)
+
+    def table(self, grid, n_max: int, estimate_error: bool) -> ResolventTable:
+        if self.discrete:
+            op = GridOperator.on_atoms(self.kernel, self.measure, self.p,
+                                       self.ordered)
+            grid = QuadratureGrid.for_points(op.nodes)
+            values, err, status = op.layers(n_max), 0.0, "exact"
+        elif grid is None:
+            raise ValueError("continuous measures need an explicit grid")
+        else:
+            values, err, status = self.table_layers(self, grid, n_max,
+                                                    estimate_error)
+        return ResolventTable(grid=grid, n_max=n_max, p=self.p, values=values,
+                              err_est=err, measure=self.measure,
+                              ordered=self.ordered, family=self.kernel.family,
+                              status=status)
+
+    def resolvent(self, t, s, tol, level, n_cap) -> SeriesValue:
+        kp_at = self._kp(t, s)
+        if self.multiplicative:
+            # the factorial bounds are identities: R = k**p exp(mu([s, t]))
+            mass = 0.0 if self.null(s, t) else integrate(
+                np.ones_like, Interval1D(float(s), float(t)), self.measure,
+                tol=1e-12).value
+            return SeriesValue(kp_at * math.exp(mass), 0.0, 1, True)
+        if self.null(s, t):
+            # null range: only the first iterate survives
+            return SeriesValue(kp_at, 0.0, 1, True)
+        op = self.op(s, t, level)
+        rho = op.kernel_column(s)
+        q = float(op.column(np.ones(op.nodes.size))[-1])
+        majorant_ok = self._factorial and math.isfinite(q)
+        log_fact = _factorial_log(q, 1.0)
+        total = 0.0
+        for n in range(1, n_cap + 1):
+            term = float(rho[-1])
+            if not math.isfinite(term):
+                if math.isinf(kp_at):
+                    # the resolvent dominates its first iterate
+                    return SeriesValue(math.inf, 0.0, n, True)
+                # an infinite grid term of a finite kernel value is a
+                # quadrature artefact (a singular kernel), not a divergence
+                return SeriesValue(total, math.inf, n - 1, False)
+            total += term
+            if majorant_ok:
+                tail = kp_at * _tail_sum(log_fact, n)
+                if tail < tol:
+                    return SeriesValue(total, tail, n, True)
+            elif term < tol * 1e-3 and n > 3:
+                # no recognised majorant: truncate when terms stall, unconverged
+                return SeriesValue(total, math.inf, n, False)
+            rho = op.column(rho)
+        return SeriesValue(total, math.inf, n_cap, False)
+
+    def residual(self, t, s, grid, n_cap) -> float:
+        if grid is None:
+            raise ValueError("interval residuals need a grid")
+        if self.null(s, t):
+            return 0.0  # R(t, t) = k(t, t): the null-range integral vanishes
+        fine = self.op(s, t, grid.level)
+        op = fine if self.discrete else self.op(s, t, grid.level, finer=False)
+        k_ts = self._kp(t, s)  # p = 1
+        scale = max(1.0, abs(k_ts))
+        cur = fine.kernel_column(s)
+        rho = np.zeros_like(cur)
+        for _ in range(n_cap):
+            rho = rho + cur
+            if math.isinf(rho[-1]):
+                return math.inf  # the grid does not resolve the singularity
+            if float(np.max(np.abs(cur))) < 1e-16 * scale:
+                break
+            cur = fine.column(cur)
+        rho_coarse = rho[::1 if self.discrete else 2]
+        lhs = float(rho_coarse[-1])
+        rhs = k_ts + float(op.column(rho_coarse)[-1])
+        return abs(lhs - rhs)
+
+    def iterate(self, n, t, s, level) -> float:
+        """R_n(t, s) by single-column recursion."""
+        if self.null(s, t):
+            return self._kp(t, s) if n == 1 else 0.0
+        op = self.op(s, t, level, finer=False)
+        rho = op.kernel_column(s)
+        for _ in range(n - 1):
+            rho = op.column(rho)
+        return float(rho[-1])
+
+    def series_function(self, t, domain, tol, level, n_cap) -> SeriesValue:
+        return self.series(1.0, t, domain, tol, level, n_cap)
+
+    def bound(self, v, t, domain, tol, level, n_cap) -> SeriesValue:
+        v_t = float(_as_fn(v)(np.asarray(float(t))))
+        sv = self.series(v, t, domain, tol, level, n_cap)
+        return SeriesValue(v_t + sv.sum, sv.tail_bound, sv.terms_used,
+                           sv.converged)
+
+    def series(self, v, t, domain, tol, level, n_cap) -> SeriesValue:
+        """Sum over n of (integral over the lower set of t of
+        R_n(t, s) v(s)**p mu(ds))**(1/p), for a number or function v."""
+        if not isinstance(domain, Interval1D):
+            raise ValueError("interval kernels need their interval domain to "
+                             "form the lower set of t")
+        if self.null(domain.lo, t):
+            return SeriesValue(0.0, 0.0, 0, True)  # null lower set
+        return self._series(v, domain.lo, float(t), tol, level, n_cap)
+
+    def _series(self, v, lo: float, t: float, tol, level, n_cap
+                ) -> SeriesValue:
+        """``series`` over [lo, t].  By Fubini the integrals g_n(x) over
+        [lo, x] obey g_1 = B v**p and g_{n+1} = B g_n, one matrix-vector
+        product per term.  The factorial tail is ``sup v * T(q)`` with the
+        gap integral ``q = (B 1)(t)``; a non-finite q or sup v disables it.
+        """
+        op = self.op(lo, t, level)
+        v_vals = np.asarray(_as_fn(v)(op.nodes), dtype=float)
+        sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
+            else math.inf
+        q = float(op.column(np.ones(op.nodes.size))[-1])
+        majorant_ok = (self._factorial and math.isfinite(q)
+                       and math.isfinite(sup_v))
+        g = op.column(v_vals**self.p)
+        log_fact = _factorial_log(q, self.p)
+        total = 0.0
+        for n in range(1, n_cap + 1):
+            integ = float(g[-1])
+            if not math.isfinite(integ):
+                return SeriesValue(math.inf, 0.0, n, True)
+            total += max(integ, 0.0) ** (1.0 / self.p)
+            if majorant_ok:
+                tail = sup_v * _tail_sum(log_fact, n + 1)
+                if tail < tol:
+                    return SeriesValue(total, tail, n, True)
+            g = op.column(g)
+        return SeriesValue(total, math.inf, n_cap, False)
+
+    def _gap(self, lo, t, level):
+        """The grid of [lo, t], k(t, u)**p on it and its integral (inf
+        where it is not finite)."""
+        op = GridOperator.on_interval(self.kernel, self.measure, self.p, lo,
+                                      t, level)
+        row = op.kernel_row()
+        return op, row, op.row_integral(np.where(np.isfinite(row), row,
+                                                 np.inf))
+
+    def vanishing(self, u0, t, domain, strategy, level) -> Tuple[bool, str]:
+        if not isinstance(domain, Interval1D):
+            return False, "unrecognised setting"
+        if not self.kernel.monotone:
+            return False, "kernel not declared monotone"
+        op, kcol, q = self._gap(domain.lo, t, level)
+        if not math.isfinite(q):
+            return False, "gap integral infinite"
+        u0_vals = np.asarray(_as_fn(u0)(op.nodes), dtype=float)
+        if strategy in ("auto", "bounded_u0"):
+            if np.all(np.isfinite(u0_vals)):
+                return True, "bounded u0 with finite series function"
+            if strategy == "bounded_u0":
+                return False, "u0 unbounded on the grid"
+        if strategy in ("auto", "summability"):
+            if math.isfinite(op.row_integral(_ext_mul(kcol, u0_vals**self.p))):
+                return True, "finite integral of k**p u0**p"
+        return False, "no criterion applied"
+
+    def lipschitz(self, t, domain, level) -> float:
+        """(integral of k**p over the lower set of t)**(1/p)."""
+        if not isinstance(domain, Interval1D):
+            raise TypeError("ordered profiles need an interval domain")
+        return self._lipschitz(domain.lo, float(t), level)
+
+    def _lipschitz(self, lo: float, t: float, level) -> float:
+        if self.null(lo, t):
+            return 0.0  # null lower set
+        q = self._gap(lo, t, level)[2]
+        return q ** (1.0 / self.p) if math.isfinite(q) else math.inf
+
+    def certificate(self, nodes, w0, n_layers, cert_level, domain):
+        """``(ts, w0, b, tail, lambda0)``: the Picard series terms of w0,
+        their tail and the Lipschitz profile, on the dyadic sub-grid of
+        the operator grid at level at most ``cert_level``."""
+        op_level = int(round(math.log2(nodes.size - 1)))
+        if 2**op_level + 1 != nodes.size:
+            raise ValueError("operator grids must be dyadic (2**level + 1 "
+                             "nodes)")
+        stride = 2 ** max(op_level - cert_level, 0)
+        ts, w0 = nodes[::stride], w0[::stride]
+        return (ts, w0) + self._certificate(ts, w0, n_layers, domain)
+
+    def _certificate(self, ts, w0, n_layers, domain):
+        if not self.kernel.monotone:
+            raise DivergentBoundError(
+                "no certified tail for this increment kernel: it must be "
+                "monotone, fractional with beta = 0, or void-ordered"
+            )
+        # by Fubini g_1 = B w0**p and g_{i+1} = B g_i (see ``_series``)
+        p = self.p
+        op = GridOperator.on_nodes(self.kernel, self.measure, p, ts)
+        q_prof = op.column(np.ones(ts.size))
+        b = np.empty((n_layers, ts.size))
+        g = op.column(w0**p)
+        for i in range(n_layers):
+            b[i] = np.maximum(g, 0.0) ** (1.0 / p)
+            if i + 1 < n_layers:
+                g = op.column(g)
+        sup_w0 = np.maximum.accumulate(w0)
+        tail = np.array([sup_w0[j] * _tail_sum(_factorial_log(float(q), p),
+                                               n_layers + 1)
+                         for j, q in enumerate(q_prof)])
+        return b, tail, np.where(q_prof > 0, q_prof, 0.0) ** (1.0 / p)
+
+
+class _VoidPlan(_GridPlan):
+    """The void order on atoms (the Fredholm case): every lower set is
+    the whole set, ``R_n(t, s) = k1(s)**p q**(n-1)`` with
+    ``q = weighted(1)``, and every series is geometric, ``inf`` for q >= 1.
+    """
+
+    ordered = False
+
+    def __init__(self, kernel: VoidKernel, measure: DiscreteMeasure, p):
+        super().__init__(kernel, measure, p, discrete=True)
+        atoms = GridOperator.on_atoms(kernel, measure, p, ordered=False)
+        self.nodes, self.masses = atoms.nodes, atoms.weights
+        self.k1p = np.asarray(kernel.k1(self.nodes), dtype=float)**p
+        self.q = self.weighted(1.0)
+
+    def weighted(self, f) -> float:
+        """Sum over the sorted atoms of m k1**p f**p."""
+        return float(np.dot(self.masses,
+                            self.k1p * np.asarray(f, dtype=float)**self.p))
+
+    def _k1p_at(self, s) -> float:
+        return float(self.kernel.k1(np.asarray(s, dtype=float))) ** self.p
+
+    def resolvent(self, t, s, tol, level, n_cap):
+        if self.q >= 1.0:
+            return SeriesValue(math.inf, 0.0, 0, True)
+        return SeriesValue(self._k1p_at(s) / (1.0 - self.q), 0.0, 1, True)
+
+    def residual(self, t, s, grid, n_cap):
+        if self.q >= 1.0:
+            raise ValueError("void resolvent diverges for mass >= 1")
+        k_s = self._k1p_at(s)
+        r_col = k_s / (1.0 - self.q)
+        return abs(r_col - (k_s + self.weighted(r_col)))
+
+    def iterate(self, n, t, s, level):
+        return self._k1p_at(s) * self.q ** (n - 1)
+
+    def series(self, v, t, domain, tol, level, n_cap):
+        if self.q >= 1.0:
+            return SeriesValue(math.inf, 0.0, 0, True)
+        r, vi = self.q ** (1.0 / self.p), self.weighted(_as_fn(v)(self.nodes))
+        return SeriesValue(vi ** (1.0 / self.p) / (1.0 - r), 0.0, 1, True)
+
+    def vanishing(self, u0, t, domain, strategy, level):
+        if self.q >= 1.0:
+            return False, "void mass >= 1"
+        if math.isfinite(self.weighted(_as_fn(u0)(self.nodes))):
+            return True, "void geometric decay"
+        return False, "weighted integral infinite"
+
+    def lipschitz(self, t, domain, level):
+        return self.q ** (1.0 / self.p)
+
+    def certificate(self, nodes, w0, n_layers, cert_level, domain):
+        q, p = self.q, self.p
+        if q >= 1.0:
+            raise DivergentBoundError(
+                f"void-order geometric certificate diverges: kernel mass "
+                f"{q:.6g} >= 1"
+            )
+        c0, lam0 = self.weighted(w0), q ** (1.0 / p)
+        b = np.empty((n_layers, nodes.size))
+        for i in range(1, n_layers + 1):
+            b[i - 1] = (c0 * q ** (i - 1)) ** (1.0 / p)
+        tail = (c0 ** (1.0 / p) * q ** (n_layers / p)
+                / (1.0 - lam0)) if c0 > 0 else 0.0
+        return (nodes, w0, b, np.full(nodes.size, tail),
+                np.full(nodes.size, lam0))
+
+
+class _FractionalPlan(_GridPlan):
+    """A fractional kernel on Lebesgue measure: gamma-quotient closed
+    forms (beta = 0) or the ratio profile (beta > 0) with Mittag-Leffler
+    tails.  Residuals and beta > 0 resolvent bounds take the grid path.
+    """
+
+    def __init__(self, kernel: FractionalKernel, measure: Lebesgue, p):
+        kernel.require_p(p)
+        super().__init__(kernel, measure, p, table_layers=_fractional_table)
+        self.params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
+
+    def resolvent(self, t, s, tol, level, n_cap):
+        params = self.params
+        x, y = float(t) - float(s), float(s) - self.kernel.t0
+        if x <= 0:
+            raise ValueError("need s < t for fractional kernels")
+        # beta > 0: one profile, advanced one layer per term
+        prof = (_FractionalProfile(params, x / y)
+                if params.beta_p > 0 and y > 0 else None)
+        log_maj = lambda k: params.log_layer_bound(  # noqa: E731
+            k, x, y, params.ln_c_hat_max)
+        # a tail from n + 1 <= above sums the term at ``above``, which is
+        # >= tol: it cannot stop the loop and needs no recomputation
+        total, above = 0.0, 0
+        for n in range(1, n_cap + 1):
+            term = (float(prof.f(n, x, y)) if prof is not None
+                    else fractional_f(params, n, x, y))
+            if math.isinf(term):
+                return SeriesValue(math.inf, 0.0, n, True)
+            total += term
+            if n < above:
+                continue
+            sv = _log_series(log_maj, n + 1, math.inf, 100_000)  # _tail_sum
+            tail = sv.sum + sv.tail_bound
+            if tail < tol:
+                return SeriesValue(total, tail, n, True)
+            last = n + sv.terms_used
+            if log_maj(last) > _LOG_MAX or math.exp(log_maj(last)) >= tol:
+                above = last
+        return SeriesValue(total, math.inf, n_cap, False)
+
+    def iterate(self, n, t, s, level):
+        return fractional_f(self.params, n, t - s, s - self.kernel.t0)
+
+    def series_function(self, t, domain, tol, level, n_cap):
+        prm, X = self.params, float(t) - self.kernel.t0
+        if X <= 0:
+            raise ValueError("need t above the kernel origin")
+        if prm.beta_p >= 1.0:
+            return SeriesValue(math.inf, 0.0, 0, True)
+        # beta = 0: the closed-form terms are their own majorant; beta > 0:
+        # the majorant summed as an upper envelope.  tol is absolute, so it
+        # is scaled down by an upper bound of the sum.
+        exact = prm.beta_p == 0.0
+        log_t = lambda n: prm.log_series_bound(  # noqa: E731
+            n, X, 0.0 if exact else prm.ln_c_hat(n))
+        sv = _log_series(log_t, 1, tol / max(1.0, _tail_sum(log_t, 1)), n_cap)
+        if exact:
+            return sv
+        return SeriesValue(sv.sum + sv.tail_bound, 0.0, sv.terms_used, False)
+
+    def _series(self, v, lo, t, tol, level, n_cap):
+        """beta = 0: a constant v times the series function; a function v
+        integrated against each closed-form layer by singular quadrature."""
+        prm, t0, p = self.params, self.kernel.t0, self.p
+        if prm.beta_p > 0:
+            return super()._series(v, lo, t, tol, level, n_cap)
+        X = t - t0
+        if X <= 0:
+            return SeriesValue(0.0, 0.0, 0, True)
+        if not callable(v):
+            c = float(v)
+            if c == 0.0:
+                return SeriesValue(0.0, 0.0, 0, True)
+            sv = self.series_function(t, None, tol / c, level, n_cap)
+            return SeriesValue(c * sv.sum, c * sv.tail_bound, sv.terms_used,
+                               sv.converged)
+        from .quadrature import integrate_singular
+
+        ap = prm.alpha_p
+        vp = lambda s: np.asarray(v(s), dtype=float)**p  # noqa: E731
+        sup_v = float(np.max(np.asarray(v(np.linspace(t0, t, 257)),
+                                        dtype=float)))
+        log_ml = lambda k: prm.log_series_bound(k, X, 0.0)  # noqa: E731
+        total = 0.0
+        for n in range(1, n_cap + 1):
+            ln_c = n * ln_gamma(ap) - ln_gamma(ap * n)
+            res = integrate_singular(vp, gamma=1.0, delta=ap * n, a=t0, b=t,
+                                     tol=1e-13)
+            total += (math.exp(ln_c) * max(res.value, 0.0)) ** (1.0 / p)
+            tail_ml = sup_v * _tail_sum(log_ml, n + 1)
+            if tail_ml < tol:
+                return SeriesValue(total, tail_ml, n, True)
+        return SeriesValue(total, math.inf, n_cap, False)
+
+    def vanishing(self, u0, t, domain, strategy, level):
+        from .quadrature import integrate_singular
+
+        bp = self.params.beta_p
+        if bp >= 1.0:
+            return False, "pole exponent too large"
+        u0f = _as_fn(u0)
+        res = integrate_singular(
+            lambda s: np.asarray(u0f(s), dtype=float)**self.p,
+            gamma=1.0 - bp, delta=1.0, a=self.kernel.t0, b=float(t), tol=1e-9,
+        )
+        if res.converged and math.isfinite(res.value):
+            return True, "pole-weighted integral finite"
+        return False, "pole-weighted integral not certified"
+
+    def _lipschitz(self, lo, t, level):
+        prm, X = self.params, t - self.kernel.t0
+        if X <= 0:
+            return 0.0
+        if prm.beta_p >= 1.0:
+            return math.inf
+        val = X**prm.gap * beta_fn(1.0 - prm.beta_p, prm.alpha_p)
+        return val ** (1.0 / self.p)
+
+    def b_layers(self, nodes, w0, n_layers) -> np.ndarray:
+        """Picard series terms of a beta-zero kernel, in closed form.
+
+        The increment profile is dominated by its right-continuous step
+        majorant, ``w0[k]**p`` on ``(nodes[k-1], nodes[k]]`` and
+        ``w0[0]**p`` on ``[t0, nodes[0]]`` (sound: the step dominates the
+        profile).  Against the closed-form layer
+        ``c_i (t - s)**(delta - 1)``, ``delta = alpha_p i``, each step
+        integrates exactly, so term i at t is
+
+            (c_i * sum over k of w0[k]**p ((t - a_k)**delta
+             - (t - b_k)**delta) / delta)**(1/p)
+
+        with the step ends ``a_k < b_k`` clipped to ``[t0, t]``: one
+        vectorised O(m**2) evaluation per layer and no quadrature error.
+        """
+        if self.params.beta_p != 0.0:
+            raise DivergentBoundError(
+                "certificates for fractional increment kernels are "
+                "implemented for beta = 0"
+            )
+        ap, t0, p = self.params.alpha_p, self.kernel.t0, self.p
+        t = np.maximum(nodes, t0)[:, None]
+        ends = np.concatenate(([t0], nodes))[None, :]
+        # distance from t to every step end, ends above t clipped to t
+        dist = t - np.clip(ends, t0, t)
+        step = w0**p
+        b = np.zeros((n_layers, nodes.size))
+        for i in range(1, n_layers + 1):
+            delta = ap * i
+            ln_c = i * ln_gamma(ap) - ln_gamma(delta)
+            powers = dist**delta
+            weights = (powers[:, :-1] - powers[:, 1:]) * (math.exp(ln_c)
+                                                           / delta)
+            b[i - 1] = np.maximum(_ext_matmul(weights, step), 0.0) ** (1.0 / p)
+        return b
+
+    def _certificate(self, ts, w0, n_layers, domain):
+        b = self.b_layers(ts, w0, n_layers)
+        prm, t0 = self.params, self.kernel.t0
+        # the closed-form Lipschitz constant needs no grid level
+        lam0 = np.array([self.lipschitz(t, domain, None) for t in ts])
+        sup_w0 = np.maximum.accumulate(w0)
+        tail = np.array([0.0 if t <= t0 else sup_w0[j] * _tail_sum(
+            lambda k: prm.log_series_bound(k, float(t) - t0, 0.0),
+            n_layers + 1) for j, t in enumerate(ts)])
+        return b, tail, lam0
+
+
+def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
+    """The path of a kernel family on a measure, validated once: void
+    kernels need atoms (``TypeError`` otherwise), fractional kernels take
+    their closed forms on Lebesgue measure only, everything else takes
+    the grid, box and transported fractional kernels with their own table
+    builders."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    discrete = isinstance(measure, DiscreteMeasure)
+    if isinstance(kernel, VoidKernel):
+        if not discrete:
+            raise TypeError("void-ordered kernels integrate against atoms")
+        return _VoidPlan(kernel, measure, p)
+    lebesgue = isinstance(measure, Lebesgue)
+    if isinstance(kernel, FractionalKernel) and lebesgue:
+        return _FractionalPlan(kernel, measure, p)
+    if isinstance(kernel, ProductKernel):
+        table_layers = _box_table
+    elif isinstance(kernel, TransformedFractionalKernel) and lebesgue:
+        table_layers = _transformed_table
+    else:
+        table_layers = _grid_table
+    return _GridPlan(kernel, measure, p, discrete, table_layers,
+                     isinstance(kernel, MultiplicativeKernel) and not discrete)
+
+
+# ---------------------------------------------------------------------------
+# series operations
+# ---------------------------------------------------------------------------
 
 
 def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
@@ -1230,9 +1704,10 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     """Resolvent of ``kernel**p`` at (t, s): the sum of all iterates.
 
     Truncation is certified family by family: factorial majorants for
-    monotone kernels with finite gap integrals, exact geometric sums in
-    the void case, Mittag-Leffler majorants for fractional kernels, and
-    the exponential closed form for kernels of multiplicative type.  A
+    monotone kernels with finite gap integrals on atomless measures,
+    exact geometric sums in the void case, Mittag-Leffler majorants for
+    fractional kernels on Lebesgue measure, and the exponential closed
+    form for kernels of multiplicative type on atomless measures.  A
     provably divergent series returns ``inf`` (converged, zero tail); a
     kernel with no recognised majorant, or whose grid terms turn infinite
     while ``k(t, s)**p`` is finite, returns the truncated sum with
@@ -1240,86 +1715,10 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    if isinstance(kernel, VoidKernel):
-        if not isinstance(measure, DiscreteMeasure):
-            raise TypeError("void-ordered kernels integrate against atoms")
-        q = _void_q(kernel, measure, p)
-        base = float(kernel.k1(np.asarray(s, dtype=float))) ** p
-        if q >= 1.0:
-            return SeriesValue(math.inf, 0.0, 0, True)
-        return SeriesValue(base / (1.0 - q), 0.0, 1, True)
-
-    if not _leq_points(s, t):
+    plan = _plan(kernel, measure, p)
+    if plan.ordered and not _leq_points(s, t):
         raise ValueError("need s <= t")
-
-    if isinstance(kernel, MultiplicativeKernel):
-        # multiplicative type: the factorial bounds are identities, so
-        # R = k**p * exp(mu([s, t])) exactly
-        mass = _measure_mass(measure, float(s), float(t))
-        kp = float(kernel.eval(t, s)) ** p
-        return SeriesValue(kp * math.exp(mass), 0.0, 1, True)
-
-    if isinstance(kernel, FractionalKernel):
-        kernel.require_p(p)
-        params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
-        x = float(t) - float(s)
-        y = float(s) - kernel.t0
-        if x <= 0:
-            raise ValueError("need s < t for fractional kernels")
-        # beta > 0: one profile, advanced one layer per term
-        prof = (_FractionalProfile(params, x / y)
-                if params.beta_p > 0 and y > 0 else None)
-        log_maj = lambda k: params.log_layer_bound(  # noqa: E731
-            k, x, y, params.ln_c_hat_max)
-        total = 0.0
-        for n in range(1, n_cap + 1):
-            term = (float(prof.f(n, x, y)) if prof is not None
-                    else fractional_f(params, n, x, y))
-            if math.isinf(term):
-                return SeriesValue(math.inf, 0.0, n, True)
-            total += term
-            tail = _tail_sum(log_maj, n + 1)
-            if tail < tol:
-                return SeriesValue(total, tail, n, True)
-        return SeriesValue(total, math.inf, n_cap, False)
-
-    kp_at = float(kernel.eval_grid(np.asarray(float(t)),
-                                   np.asarray(float(s)))) ** p
-    if float(t) == float(s) and not isinstance(measure, DiscreteMeasure):
-        # null range: only the first iterate survives
-        return SeriesValue(kp_at, 0.0, 1, True)
-
-    # generic path: single-column recursion on [s, t], one level finer
-    # than requested to keep quadrature error below the truncation tail
-    use_level = level + 1 if not isinstance(measure, DiscreteMeasure) else level
-    op = GridOperator.on_range(kernel, measure, p, float(s), float(t),
-                               use_level)
-    rho = op.kernel_column(s)
-    q = float(op.column(np.ones(op.nodes.size))[-1])
-    majorant_ok = (kernel.monotone and math.isfinite(q)
-                   and not isinstance(measure, DiscreteMeasure))
-    log_fact = _factorial_log(q, 1.0)
-    total = 0.0
-    for n in range(1, n_cap + 1):
-        term = float(rho[-1])
-        if not math.isfinite(term):
-            if math.isinf(kp_at):
-                # the resolvent dominates its first iterate
-                return SeriesValue(math.inf, 0.0, n, True)
-            # an infinite grid term of a finite kernel value is a
-            # quadrature artefact (a singular kernel), not a divergence
-            return SeriesValue(total, math.inf, n - 1, False)
-        total += term
-        if majorant_ok:
-            tail = kp_at * _tail_sum(log_fact, n)
-            if tail < tol:
-                return SeriesValue(total, tail, n, True)
-        elif term < tol * 1e-3 and n > 3:
-            # no recognised majorant: truncate when terms stall, unconverged
-            return SeriesValue(total, math.inf, n, False)
-        rho = op.column(rho)
-    return SeriesValue(total, math.inf, n_cap, False)
+    return plan.resolvent(t, s, tol, level, n_cap)
 
 
 def volterra_residual(kernel: Kernel, measure: MeasureSpec, t, s,
@@ -1332,48 +1731,7 @@ def volterra_residual(kernel: Kernel, measure: MeasureSpec, t, s,
     plug-in quadrature, so the residual genuinely reflects quadrature and
     truncation error instead of telescoping away.
     """
-    if isinstance(kernel, VoidKernel):
-        if not isinstance(measure, DiscreteMeasure):
-            raise TypeError("void-ordered kernels integrate against atoms")
-        q = _void_q(kernel, measure, 1.0)
-        if q >= 1.0:
-            raise ValueError("void resolvent diverges for mass >= 1")
-        k_s = float(kernel.k1(np.asarray(s, dtype=float)))
-        r_col = k_s / (1.0 - q)
-        pts, masses = _sorted_atoms(measure)
-        r_vals = np.asarray(kernel.k1(pts), dtype=float) * 0.0 + r_col
-        k_tu = np.asarray(kernel.k1(pts), dtype=float)
-        rhs = k_s + float(np.dot(masses, k_tu * r_vals))
-        return abs(r_col - rhs)
-
-    if grid is None:
-        raise ValueError("interval residuals need a grid")
-    if float(t) == float(s) and not isinstance(measure, DiscreteMeasure):
-        return 0.0  # R(t, t) = k(t, t): the null-range integral vanishes
-    op = GridOperator.on_range(kernel, measure, 1.0, float(s), float(t),
-                               grid.level)
-    stride = 1
-    fine = op
-    if not isinstance(measure, DiscreteMeasure):
-        fine = GridOperator.on_range(kernel, measure, 1.0, float(s),
-                                     float(t), grid.level + 1)
-        stride = 2
-
-    k_ts = float(kernel.eval_grid(np.asarray(float(t)), np.asarray(float(s))))
-    scale = max(1.0, abs(k_ts))
-    cur = fine.kernel_column(s)
-    rho = np.zeros_like(cur)
-    for _ in range(n_cap):
-        rho = rho + cur
-        if math.isinf(rho[-1]):
-            return math.inf  # the grid does not resolve the singularity
-        if float(np.max(np.abs(cur))) < 1e-16 * scale:
-            break
-        cur = fine.column(cur)
-    rho_coarse = rho[::stride]
-    lhs = float(rho_coarse[-1])
-    rhs = k_ts + float(op.column(rho_coarse)[-1])
-    return abs(lhs - rhs)
+    return _plan(kernel, measure, 1.0).residual(t, s, grid, n_cap)
 
 
 def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
@@ -1387,97 +1745,19 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
 
     * void order: exact geometric value ``r / (1 - r)`` with
       ``r = q**(1/p)`` for ``q < 1``, infinity otherwise;
-    * fractional, beta = 0: closed-form terms (an identity with the
-      generalised Mittag-Leffler series);
-    * fractional, beta > 0: finite iff ``beta * p < 1``; the returned sum
-      is a certified upper envelope from the Mittag-Leffler majorant,
-      flagged ``converged=False`` (no two-sided certificate);
-    * monotone interval kernels with finite gap integral: quadrature
-      terms with a factorial tail.
+    * fractional on Lebesgue measure, beta = 0: closed-form terms (an
+      identity with the generalised Mittag-Leffler series);
+    * fractional on Lebesgue measure, beta > 0: finite iff
+      ``beta * p < 1``; the returned sum is a certified upper envelope
+      from the Mittag-Leffler majorant, flagged ``converged=False`` (no
+      two-sided certificate);
+    * monotone interval kernels with finite gap integral on atomless
+      measures: quadrature terms with a factorial tail.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    if isinstance(kernel, VoidKernel):
-        if not isinstance(measure, DiscreteMeasure):
-            raise TypeError("void-ordered kernels integrate against atoms")
-        q = _void_q(kernel, measure, p)
-        if q >= 1.0:
-            return SeriesValue(math.inf, 0.0, 0, True)
-        r = q ** (1.0 / p)
-        return SeriesValue(r / (1.0 - r), 0.0, 1, True)
-
-    if isinstance(kernel, FractionalKernel):
-        kernel.require_p(p)
-        params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
-        X = float(t) - kernel.t0
-        if X <= 0:
-            raise ValueError("need t above the kernel origin")
-        if params.beta_p >= 1.0:
-            return SeriesValue(math.inf, 0.0, 0, True)
-        # beta = 0: the closed-form terms are their own majorant; beta > 0:
-        # the majorant summed as an upper envelope.  tol is absolute, so it
-        # is scaled down by an upper bound of the sum.
-        exact = kernel.beta == 0.0
-        log_t = lambda n: params.log_series_bound(  # noqa: E731
-            n, X, 0.0 if exact else params.ln_c_hat(n))
-        sv = _log_series(log_t, 1, tol / max(1.0, _tail_sum(log_t, 1)), n_cap)
-        if exact:
-            return sv
-        return SeriesValue(sv.sum + sv.tail_bound, 0.0, sv.terms_used, False)
-
-    if domain is None or not isinstance(domain, Interval1D):
-        raise ValueError("interval kernels need their interval domain to "
-                         "form the lower set of t")
-    if float(t) <= domain.lo and not isinstance(measure, DiscreteMeasure):
-        return SeriesValue(0.0, 0.0, 0, True)  # null lower set
-
-    return _integrated_series(kernel, measure, p, domain.lo, float(t), tol,
-                              level, n_cap)
-
-
-def _integrated_series(kernel, measure, p, lo: float, t: float, tol: float,
-                       level: int, n_cap: int, v=None) -> SeriesValue:
-    """Sum over n of (integral over [lo, t] of R_n(t, s) v(s)**p mu(ds))**(1/p).
-
-    By Fubini the integrals g_n(x) over [lo, x] obey g_1 = B v**p and
-    g_{n+1} = B g_n with the lower-set operator B of ``GridOperator``,
-    so each term is one matrix-vector product and only g_n(t) is read.
-    This is exact for discrete measures; on intervals it runs one grid
-    level finer than requested.  ``v`` defaults to 1.  Monotone kernels
-    on atomless measures get the factorial tail ``sup v * T(q)`` with the
-    gap integral ``q = (B 1)(t)``; a non-finite ``q`` or ``sup v``
-    disables it.
-    """
-    discrete = isinstance(measure, DiscreteMeasure)
-    op = GridOperator.on_range(kernel, measure, p, lo, t,
-                               level if discrete else level + 1)
-    nodes = op.nodes
-    ones = np.ones(nodes.size)
-    if v is None:
-        w, sup_v = ones, 1.0
-    else:
-        v_vals = np.asarray(v(nodes), dtype=float)
-        w = v_vals**p
-        sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
-            else math.inf
-    q = float(op.column(ones)[-1])
-    majorant_ok = (kernel.monotone and not discrete and math.isfinite(q)
-                   and math.isfinite(sup_v))
-    g = op.column(w)
-    log_fact = _factorial_log(q, p)
-    total = 0.0
-    for n in range(1, n_cap + 1):
-        integ = float(g[-1])
-        if not math.isfinite(integ):
-            return SeriesValue(math.inf, 0.0, n, True)
-        total += max(integ, 0.0) ** (1.0 / p)
-        if majorant_ok:
-            tail = sup_v * _tail_sum(log_fact, n + 1)
-            if tail < tol:
-                return SeriesValue(total, tail, n, True)
-        g = op.column(g)
-    return SeriesValue(total, math.inf, n_cap, False)
+    return _plan(kernel, measure, p).series_function(t, domain, tol, level,
+                                                     n_cap)
 
 
 def sum_decomposition(parts: Sequence[Kernel], measure: MeasureSpec, n: int,
@@ -1505,8 +1785,7 @@ def sum_decomposition(parts: Sequence[Kernel], measure: MeasureSpec, n: int,
     if not _leq_points(s, t):
         raise ValueError("need s <= t")
 
-    ops = [GridOperator.on_range(k, measure, 1.0, float(s), float(t), level)
-           for k in parts]
+    ops = [_plan(k, measure, 1.0).op(s, t, level, finer=False) for k in parts]
     columns: Dict[Tuple[int, ...], np.ndarray] = {
         (a,): op.kernel_column(s) for a, op in enumerate(ops)
     }
@@ -1532,28 +1811,6 @@ def product_bound(factors: Sequence[Tuple[Kernel, MeasureSpec]], p: float,
         raise ValueError("axis count mismatch between factors and points")
     acc = ExtReal(1.0)
     for (kern, meas), ti, si in zip(factors, t, s):
-        v = _single_iterate(kern, meas, p, n, float(ti), float(si), level)
+        v = _plan(kern, meas, p).iterate(n, float(ti), float(si), level)
         acc = acc * ExtReal(v)
     return acc
-
-
-def _single_iterate(kernel, measure, p, n, t, s, level) -> float:
-    """R_{k**p, mu, n}(t, s) by single-column recursion or closed form."""
-    if isinstance(kernel, VoidKernel):
-        if not isinstance(measure, DiscreteMeasure):
-            raise TypeError("void-ordered kernels integrate against atoms")
-        q = _void_q(kernel, measure, p)
-        return float(kernel.k1(np.asarray(s, dtype=float))) ** p * q ** (n - 1)
-    if isinstance(kernel, FractionalKernel):
-        kernel.require_p(p)
-        params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
-        return fractional_f(params, n, t - s, s - kernel.t0)
-    if t == s and not isinstance(measure, DiscreteMeasure):
-        if n == 1:
-            return float(kernel.eval_grid(np.asarray(t), np.asarray(s))) ** p
-        return 0.0
-    op = GridOperator.on_range(kernel, measure, p, s, t, level)
-    rho = op.kernel_column(s)
-    for _ in range(n - 1):
-        rho = op.column(rho)
-    return float(rho[-1])

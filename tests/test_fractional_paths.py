@@ -11,7 +11,6 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 
 from volgron.domains import Interval1D, QuadratureGrid
-from volgron.fixpoint import _fractional_b_layers
 from volgron.gronwall import (
     GronwallInput,
     gronwall_bound,
@@ -32,12 +31,17 @@ from volgron.resolvent import (
     _factorial_log,
     _gap_limit,
     _jacobi_rule,
+    _plan,
     iterated_kernels,
     resolvent_series,
 )
 from volgron.specfun import _tail_sum, ln_gamma
 
 DOM = Interval1D(0.0, 1.0)
+
+
+def _fractional_b_layers(kern, p, nodes, w0, n_layers):
+    return _plan(kern, Lebesgue(), p).b_layers(nodes, w0, n_layers)
 KAPPA = 0.8
 SINGULAR = CallableKernel(lambda t, s: 1.0 / np.sqrt(np.maximum(t - s, 0.0)))
 

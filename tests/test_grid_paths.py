@@ -36,7 +36,6 @@ from volgron.resolvent import (
     GridOperator,
     _factorial_log,
     _layer_update,
-    _sorted_atoms,
     compose_layers,
     iterated_kernels,
     product_bound,
@@ -119,7 +118,8 @@ def table_route_series(kernel, measure, p, t, tol, level, v=None,
     m = nodes.size
     cur = op.kp
     if isinstance(measure, DiscreteMeasure):
-        pts, masses = _sorted_atoms(measure)
+        atoms = GridOperator.on_atoms(None, measure, p)
+        pts, masses = atoms.nodes, atoms.weights
         row_w = masses[(pts >= DOM.lo) & (pts <= t)]
         if row_w.size != m:
             row_w = np.append(row_w, 0.0)
@@ -327,8 +327,7 @@ def test_certificate_route_matches_table_route(rate, level, tol, max_iter,
     # integrals: the stopping decisions agree and the bounds are close
     prob = volterra_problem(rate=rate, level=level)
     x, cert = picard_solve(prob.spec, prob.x0, tol=tol, max_iter=max_iter)
-    monkeypatch.setattr(fixpoint, "_interval_certificate",
-                        table_route_certificate)
+    monkeypatch.setattr(fixpoint, "_certificate", table_route_certificate)
     x_ref, ref = picard_solve(prob.spec, prob.x0, tol=tol, max_iter=max_iter)
     assert cert.iterates == ref.iterates
     assert cert.converged == ref.converged
