@@ -181,8 +181,11 @@ def _cmd_gronwall(args) -> int:
         from .config import parse_kernel
 
         l_kernel = parse_kernel(cfg.raw["l"])
-    inp = GronwallInput(v0=v0, k=cfg.kernel, measure=cfg.measure, p=p,
-                        domain=cfg.domain, l=l_kernel)
+    try:
+        inp = GronwallInput(v0=v0, k=cfg.kernel, measure=cfg.measure, p=p,
+                            domain=cfg.domain, l=l_kernel)
+    except TypeError as exc:  # a kernel family off its measure or domain
+        raise _CliError(f"bad configuration: {exc}")
     if isinstance(cfg.domain, VoidSet):
         # GronwallInput has checked that the measure is discrete
         ts = sorted(set(cfg.measure.points.tolist()))

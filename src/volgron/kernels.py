@@ -86,6 +86,10 @@ class Kernel:
     def _ordered(self, s, t) -> bool:
         return _leq_points(s, t)
 
+    def _diagonal(self) -> Optional[Callable]:
+        """d with ``k(t, u) k(u, s) = k(t, s) d(u)`` for s <= u <= t."""
+        return None
+
 
 @dataclass(frozen=True)
 class CallableKernel(Kernel):
@@ -133,6 +137,9 @@ class SeparableKernel(Kernel):
 
     def _value_grid(self, T, S):
         return np.asarray(self.k0(T), dtype=float) * np.asarray(self.k1(S), dtype=float)
+
+    def _diagonal(self) -> Callable:
+        return lambda u: self.eval_grid(u, u)  # k0 * k1
 
 
 def constant_kernel(c: float) -> SeparableKernel:
@@ -394,6 +401,9 @@ class MultiplicativeKernel(Kernel):
     def _value_grid(self, T, S):
         F = self.nu_cumulative
         return np.exp(np.asarray(F(T), dtype=float) - np.asarray(F(S), dtype=float))
+
+    def _diagonal(self) -> Callable:
+        return _as_fn(1.0)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ term, sum component or residual is ever NaN.
 Every entry point here, in ``gronwall`` and in ``fixpoint`` asks one
 dispatch, ``_plan(kernel, measure, p)``, for the path of its family: the
 void order on atoms (geometric closed forms), fractional kernels on
-Lebesgue measure (gamma-quotient closed forms and the ratio profile) or
+Lebesgue measure (gamma-quotient closed forms and the ratio profile),
+rank-one kernels (``k(t, u) k(u, s) = k(t, s) d(u)``: separable, constant,
+multiplicative) on ``Lebesgue`` or ``WeightedLebesgue`` (``R_n = k**p
+Phi**(n-1) / (n-1)!``, ``R = k**p exp(Phi)``, Phi the integral of d**p) or
 the grid (``GridOperator`` on atoms or dyadic intervals, with factorial
 majorants for monotone kernels on atomless measures).  Series carry
 certified truncation tails; every majorant is a log-concave series given
@@ -49,6 +52,7 @@ requested).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -63,7 +67,6 @@ from .extreal import ExtReal
 from .kernels import (
     FractionalKernel,
     Kernel,
-    MultiplicativeKernel,
     ProductKernel,
     TransformedFractionalKernel,
     VoidKernel,
@@ -1091,6 +1094,38 @@ def _grid_table(plan, grid, n_max, estimate_error):
     return (fine,) + _two_level_err(fine, layers)
 
 
+def _rank_one_table(plan, grid, n_max, estimate_error):
+    """``k**p Phi**(n-1) / (n-1)!`` on the lower triangle, ``Phi[i, j] = F_i
+    - F_j`` from the suffix integrals F of d**p one level finer; ``err_est``
+    is the largest difference from the layers of F on the grid itself, plus
+    rounding.  The recursion builds tables with non-finite entries."""
+    nodes, m = grid.nodes, grid.nodes.size
+    ii, jj = np.tril_indices(m)
+    values = np.zeros((n_max, m, m))
+    values[0][ii, jj] = _kernel_power(plan.kernel, plan.p, nodes[ii],
+                                      nodes[jj])
+    layer_c, diff, err = values[0].copy(), np.empty((m, m)), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a difference of two suffix rules can fall below 0
+        phi, phi_c = (np.tril(Q[None, :] - Q[:, None]).clip(0.0) for Q in (
+            plan.gap_profile(grid.refine().nodes)[::2],
+            plan.gap_profile(nodes)))
+        for n in range(1, n_max):
+            np.multiply(values[n - 1], phi, out=values[n])
+            values[n] /= n
+            layer_c *= phi_c
+            layer_c /= n
+            np.subtract(values[n], layer_c, out=diff)
+            # plus the rounding of n sums of m terms
+            err = max(err, float(np.abs(diff, out=diff).max())
+                      + n * m * np.finfo(float).eps * float(values[n].max()))
+    # a non-finite entry stays so in every later layer
+    if not all(np.isfinite(x).all() for x in (values[0], values[-1], layer_c)):
+        return _grid_table(plan, grid, n_max, estimate_error)
+    return (values, err, "certified") if estimate_error else \
+        (values, 0.0, "unknown-accuracy")
+
+
 def _fractional_table(plan, grid, n_max, estimate_error):
     layers, err = _fractional_layers(plan.params, plan.kernel.t0,
                                      grid.nodes, n_max)
@@ -1184,19 +1219,15 @@ class _GridPlan:
     """``GridOperator`` recursions on the atoms of a discrete measure
     (exact sums) or on dyadic interval grids; the closed-form plans
     subclass it and fall back on it where they have no closed form.
-    ``table_layers`` builds interval and box tables, and
-    ``multiplicative`` selects the resolvent ``k(t, s)**p exp(mu([s, t]))``
-    of a multiplicative kernel on an atomless measure.
+    ``table_layers`` builds interval and box tables.
     """
 
     ordered = True
 
     def __init__(self, kernel: Kernel, measure: MeasureSpec, p: float,
-                 discrete: bool = False, table_layers=_grid_table,
-                 multiplicative: bool = False):
+                 discrete: bool = False, table_layers=_grid_table):
         self.kernel, self.measure, self.p = kernel, measure, p
-        self.discrete, self.multiplicative = discrete, multiplicative
-        self.table_layers = table_layers
+        self.discrete, self.table_layers = discrete, table_layers
 
     @property
     def _factorial(self) -> bool:
@@ -1237,12 +1268,6 @@ class _GridPlan:
 
     def resolvent(self, t, s, tol, level, n_cap) -> SeriesValue:
         kp_at = self._kp(t, s)
-        if self.multiplicative:
-            # the factorial bounds are identities: R = k**p exp(mu([s, t]))
-            mass = 0.0 if self.null(s, t) else integrate(
-                np.ones_like, Interval1D(float(s), float(t)), self.measure,
-                tol=1e-12).value
-            return SeriesValue(kp_at * math.exp(mass), 0.0, 1, True)
         if self.null(s, t):
             # null range: only the first iterate survives
             return SeriesValue(kp_at, 0.0, 1, True)
@@ -1326,23 +1351,20 @@ class _GridPlan:
 
     def _series(self, v, lo: float, t: float, tol, level, n_cap
                 ) -> SeriesValue:
-        """``series`` over [lo, t].  By Fubini the integrals g_n(x) over
-        [lo, x] obey g_1 = B v**p and g_{n+1} = B g_n, one matrix-vector
-        product per term.  The factorial tail is ``sup v * T(q)`` with the
-        gap integral ``q = (B 1)(t)``; a non-finite q or sup v disables it.
+        """``series`` over [lo, t], term n the p-th root of the integral
+        g_n(t) of ``_terms``.  The factorial tail is ``sup v * T(q)`` with
+        the gap integral q; a non-finite q or sup v disables it.
         """
         op = self.op(lo, t, level)
         v_vals = np.asarray(_as_fn(v)(op.nodes), dtype=float)
         sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
             else math.inf
-        q = float(op.column(np.ones(op.nodes.size))[-1])
+        q, terms = self._terms(op, v_vals**self.p)
         majorant_ok = (self._factorial and math.isfinite(q)
                        and math.isfinite(sup_v))
-        g = op.column(v_vals**self.p)
         log_fact = _factorial_log(q, self.p)
         total = 0.0
-        for n in range(1, n_cap + 1):
-            integ = float(g[-1])
+        for n, integ in zip(range(1, n_cap + 1), terms):
             if not math.isfinite(integ):
                 return SeriesValue(math.inf, 0.0, n, True)
             total += max(integ, 0.0) ** (1.0 / self.p)
@@ -1350,8 +1372,18 @@ class _GridPlan:
                 tail = sup_v * _tail_sum(log_fact, n + 1)
                 if tail < tol:
                     return SeriesValue(total, tail, n, True)
-            g = op.column(g)
         return SeriesValue(total, math.inf, n_cap, False)
+
+    def _terms(self, op: GridOperator, vp) -> Tuple[float, Iterator]:
+        """The gap integral q = (B 1)(t) and, by Fubini, the integrals g_n(t)
+        with g_1 = B v**p, g_{n+1} = B g_n: a matrix-vector product each."""
+        def terms():
+            g = op.column(vp)
+            while True:
+                yield float(g[-1])
+                g = op.column(g)
+
+        return float(op.column(np.ones(op.nodes.size))[-1]), terms()
 
     def _gap(self, lo, t, level):
         """The grid of [lo, t], k(t, u)**p on it and its integral (inf
@@ -1667,12 +1699,82 @@ class _FractionalPlan(_GridPlan):
         return b, tail, lam0
 
 
+class _RankOnePlan(_GridPlan):
+    """A kernel with ``k(t, u) k(u, s) = k(t, s) d(u)`` for s <= u <= t
+    (``Kernel._diagonal``: separable kernels, d = k0 k1; multiplicative
+    kernels, d = 1) on an atomless measure.  The resolvent inequalities
+    are identities there: with ``Phi(s, t)`` the integral of d**p over
+    [s, t], ``R_n = k**p Phi**(n-1) / (n-1)!`` and ``R = k**p exp(Phi)``.
+    Tables and series terms take Phi from the range rules of their grid,
+    iterates and the resolvent from a converged ``integrate``; each falls
+    back on the grid recursion where k**p, d**p or Phi is not resolved.
+    """
+
+    def __init__(self, kernel: Kernel, measure: MeasureSpec, p: float):
+        super().__init__(kernel, measure, p, table_layers=_rank_one_table)
+        self.diagonal = kernel._diagonal()
+
+    def _dp(self, u) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.asarray(self.diagonal(u), dtype=float) ** self.p
+
+    def gap_profile(self, nodes: np.ndarray) -> np.ndarray:
+        """``Phi(u, t)``, t the last node: suffix integrals of d**p."""
+        return GridOperator.on_nodes(None, self.measure, self.p,
+                                     nodes).suffix_integrals(self._dp(nodes))
+
+    def _phi(self, s, t):
+        """Phi(s, t) and its error; None on a null range or no convergence."""
+        res = None if self.null(s, t) else integrate(
+            self._dp, Interval1D(float(s), float(t)), self.measure, tol=1e-12)
+        return res if res is not None and res.converged else None
+
+    def resolvent(self, t, s, tol, level, n_cap):
+        """``k**p exp(Phi)`` enclosed by ``k**p exp(Phi +- delta)``, delta the
+        error of Phi plus rounding; converged if narrower than ``tol``."""
+        kp, res = self._kp(t, s), self._phi(s, t)
+        if res is None or not 0.0 < kp < math.inf:
+            return super().resolvent(t, s, tol, level, n_cap)
+        delta = res.err_est + 16 * np.finfo(float).eps * (1.0 + res.value)
+        with np.errstate(over="ignore"):
+            lo, hi = kp * np.exp([res.value - delta, res.value + delta])
+        if math.isinf(lo):
+            return SeriesValue(math.inf, 0.0, 1, True)
+        return SeriesValue(float(lo), float(hi - lo), 1, bool(hi - lo < tol))
+
+    def iterate(self, n, t, s, level):
+        kp, res = self._kp(t, s), self._phi(s, t)
+        if res is None or not math.isfinite(kp):
+            return super().iterate(n, t, s, level)
+        for i in range(1, n):
+            kp = kp * res.value / i
+        return kp
+
+    def _terms(self, op, vp):
+        """q and g_n(t), the integral of ``k**p(t, s) Phi(s, t)**(n-1) /
+        (n-1)! v(s)**p`` over the range: one O(m) sum per term."""
+        row, Q = op.kernel_row(), self.gap_profile(op.nodes)
+        if not all(np.isfinite(x).all() for x in (row, Q, vp)):
+            return super()._terms(op, vp)
+        w = op.row_weights * row
+
+        def terms():
+            h = w * vp
+            with np.errstate(over="ignore"):
+                for n in itertools.count(1):
+                    yield float(h.sum())
+                    h = h * Q / n
+
+        return float(w.sum()), terms()
+
+
 def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
     """The path of a kernel family on a measure, validated once: void
     kernels need atoms (``TypeError`` otherwise), fractional kernels take
-    their closed forms on Lebesgue measure only, everything else takes
-    the grid, box and transported fractional kernels with their own table
-    builders."""
+    their closed forms on Lebesgue measure only, kernels with a declared
+    diagonal take the rank-one closed forms on atomless measures, and
+    everything else takes the grid, box and transported fractional kernels
+    with their own table builders."""
     if p < 1:
         raise ValueError("p must be >= 1")
     discrete = isinstance(measure, DiscreteMeasure)
@@ -1687,10 +1789,12 @@ def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
         table_layers = _box_table
     elif isinstance(kernel, TransformedFractionalKernel) and lebesgue:
         table_layers = _transformed_table
+    elif kernel._diagonal() is not None and \
+            isinstance(measure, (Lebesgue, WeightedLebesgue)):
+        return _RankOnePlan(kernel, measure, p)
     else:
         table_layers = _grid_table
-    return _GridPlan(kernel, measure, p, discrete, table_layers,
-                     isinstance(kernel, MultiplicativeKernel) and not discrete)
+    return _GridPlan(kernel, measure, p, discrete, table_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -1706,8 +1810,11 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     Truncation is certified family by family: factorial majorants for
     monotone kernels with finite gap integrals on atomless measures,
     exact geometric sums in the void case, Mittag-Leffler majorants for
-    fractional kernels on Lebesgue measure, and the exponential closed
-    form for kernels of multiplicative type on atomless measures.  A
+    fractional kernels on Lebesgue measure; rank-one kernels (separable,
+    constant, multiplicative) on ``Lebesgue`` and ``WeightedLebesgue``
+    return the closed form ``k**p exp(Phi +- delta)``, delta the error of
+    Phi plus rounding, as the enclosure ``[sum, sum + tail]``, converged
+    when its width is below ``tol``.  A
     provably divergent series returns ``inf`` (converged, zero tail); a
     kernel with no recognised majorant, or whose grid terms turn infinite
     while ``k(t, s)**p`` is finite, returns the truncated sum with

@@ -242,6 +242,9 @@ def test_cli_entry_point_subprocess():
     (["ml", "--alpha", "1", "--beta", "1", "--z", "1e300"], 2),
     (["solve", "--problem", "abel", "--alpha", "0.1", "--grid-level", "2"], 2),
     (["ml", "--alpha", "-1", "--beta", "1", "--z", "1"], 1),
+    # a void kernel needs atoms: a Lebesgue measure is a configuration error
+    (["gronwall", "--config", '{"domain": {"type": "void"}, "measure": '
+      '{"type": "lebesgue"}, "kernel": {"family": "void", "c": 0.5}}'], 1),
 ])
 def test_cli_errors_exit_with_one_line(argv, code):
     # bad arguments exit 1, overflow exits 2, each with one stderr line

@@ -367,13 +367,24 @@ def test_series_route_matches_table_route(p, level):
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_series_route_constant_kernel_same_terms(p):
-    kern = constant_kernel(1.5)
+    # the matrix-vector route of a constant kernel given as a callable (a
+    # constant_kernel takes the rank-one closed forms instead)
+    kern = CallableKernel(lambda t, s: np.full(np.broadcast(t, s).shape, 1.5),
+                          monotone_flag=True)
     sv = series_function_I(kern, Lebesgue(), p, 1.0, domain=DOM, tol=1e-10,
                            level=6)
     ref = table_route_series(kern, Lebesgue(), p, 1.0, 1e-10, 6)
     assert sv.terms_used == ref.terms_used
     assert sv.sum == pytest.approx(ref.sum, rel=1e-13)
     assert sv.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+    # the closed-form terms of constant_kernel are closer to the exact sum
+    # of 1.5**n / (n!)**(1/p), with the same terms and tail
+    exact = sum(1.5**n / math.factorial(n) ** (1.0 / p) for n in range(1, 60))
+    rank_one = series_function_I(constant_kernel(1.5), Lebesgue(), p, 1.0,
+                                 domain=DOM, tol=1e-10, level=6)
+    assert rank_one.terms_used == ref.terms_used
+    assert rank_one.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+    assert abs(rank_one.sum - exact) < abs(ref.sum - exact) / 5
 
 
 def test_series_route_discrete_measure_is_exact_sum():
