@@ -6,7 +6,10 @@ t)**(1/p)``, the bound operations evaluate the series that dominate
 and the closed Gronwall bounds in their sharp (first) and supremum
 (second) forms.  Two geometries are supported: one ordered interval axis
 (``m = 1``) and the void order (``m = 0``, the Fredholm case, where every
-series is a geometric sum in closed form).
+series is a geometric sum in closed form).  On an interval the closed
+forms read the plan of k: both need k declared monotone on an atomless
+measure (a factorial majorant), the supremum form also a monotone ``l``;
+without them the bound is inf.
 
 The supremum of ``v0`` over a lower set is taken on the evaluation grid,
 which under-approximates the true essential supremum; bound consumers
@@ -15,6 +18,7 @@ should sample ``v0`` on grids fine enough for their tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -26,10 +30,12 @@ from .kernels import Kernel, _as_fn
 from .measures import MeasureSpec
 from .resolvent import (
     FractionalResolventParams,
-    GridOperator,
     _ext_mul,
+    _factorial_integrals,
     _factorial_log,
+    _kernel_power,
     _plan,
+    _root_sum,
     _row_integrals,
     fractional_inequality_constant,
 )
@@ -215,31 +221,25 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
         sup_form = sup_v0 * geo + w_n + lser
         return sharp, sup_form, w_n
 
-    grid = _lower_set(inp, t, level)
-    if grid is None:  # null lower set: only v0 survives
-        v0_t = float(inp.v0_fn()(np.asarray(float(t))))
-        return v0_t, v0_t, 0.0
-    op, kcol, Q, v_vals = grid
-    nodes, row, q, v_t = op.nodes, op.row_weights, Q[0], float(v_vals[-1])
-    u0_vals = np.asarray(u0f(nodes), dtype=float)
-
-    log_q = _log_q(Q)
+    lower = _lower_set(inp, t, level)
+    if len(lower) == 3:
+        return lower
+    op, kcol, lcol, Q, v_vals = lower
+    row, q, v_t = op.row_weights, Q[0], float(v_vals[-1])
     row_k = _ext_mul(row, kcol)
-    w_n = _factorial_term(_ext_mul(row_k, u0_vals**p), log_q, n - 1, p)
-    row_kv = _ext_mul(row_k, v_vals**p)
-    sharp = sum((_factorial_term(row_kv, log_q, i, p)
-                 for i in range(0, n - 1)), v_t + w_n)
 
-    sup_v0 = float(np.max(np.asarray(v0f(nodes), dtype=float)))
-    head = sum((math.exp((i * math.log(q) - ln_gamma(i + 1.0)) / p)
-                for i in range(1, n)), 1.0) if q > 0 else 1.0
-    lser = 0.0
-    if inp.l is not None:
-        lcol = GridOperator.on_interval(inp.l, inp.measure, p, inp.domain.lo,
-                                        t, level).kernel_row()
-        row_l = _ext_mul(row, lcol)
-        lser = sum(_factorial_term(row_l, log_q, i, p) for i in range(0, n))
-    sup_form = (sup_v0 * head if sup_v0 > 0 else 0.0) + w_n + lser
+    def roots(w, first, count):  # sum of the p-th roots of count sums
+        sums = itertools.islice(_factorial_integrals(w, Q), first, None)
+        return _root_sum(sums, p, None, 0.0, count).sum
+
+    u0_vals = np.asarray(u0f(op.nodes), dtype=float)
+    w_n = roots(_ext_mul(row_k, u0_vals**p), n - 1, 1)
+    sharp = v_t + w_n + roots(_ext_mul(row_k, v_vals**p), 0, n - 1)
+    sup_v0 = float(np.max(np.asarray(v0f(op.nodes), dtype=float)))
+    log_fact = _factorial_log(q, p)
+    geo = sum((math.exp(log_fact(i)) for i in range(1, n)), 1.0)
+    lser = 0.0 if inp.l is None else roots(_ext_mul(row, lcol), 0, n)
+    sup_form = (sup_v0 * geo if sup_v0 > 0 else 0.0) + w_n + lser
     return sharp, sup_form, w_n
 
 
@@ -266,92 +266,65 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
         sup_form = (sup_v0 + int_l) / (1.0 - r)
         return sharp, sup_form, 0.0
 
-    grid = _lower_set(inp, t, level)
-    if grid is None:  # null lower set: only v0 survives
-        v0_t = float(inp.v0_fn()(np.asarray(float(t))))
-        return v0_t, v0_t, 0.0
-    op, kcol, Q, v_vals = grid
-    nodes, row, q, v_t = op.nodes, op.row_weights, Q[0], float(v_vals[-1])
+    lower = _lower_set(inp, t, level)
+    if len(lower) == 3:
+        return lower
+    op, kcol, lcol, Q, v_vals = lower
+    row, q, v_t = op.row_weights, Q[0], float(v_vals[-1])
     sup_v = float(np.max(v_vals))
 
-    # an infinite gap integral leaves no factorial majorant: each loop
+    # an infinite gap integral leaves no factorial majorant: each sum
     # stops after its first term with an infinite tail
-    log_q = _log_q(Q)
-    row_kv = _ext_mul(row, _ext_mul(kcol, v_vals**p))
+    n_max = n_cap if math.isfinite(q) else 1
     log_fact = _factorial_log(q, p)
-    sharp = v_t
-    tail = math.inf
-    for n in range(0, n_cap):
-        sharp += _factorial_term(row_kv, log_q, n, p)
-        tail = sup_v * _tail_sum(log_fact, n + 2)
-        if tail < tol or not math.isfinite(q):
-            break
+    sv = _root_sum(_factorial_integrals(_ext_mul(row, _ext_mul(
+        kcol, v_vals**p)), Q), p, lambda n: sup_v * _tail_sum(log_fact, n + 1),
+        tol, n_max)
 
-    sup_v0 = float(np.max(np.asarray(inp.v0_fn()(nodes), dtype=float)))
+    sup_v0 = float(np.max(np.asarray(inp.v0_fn()(op.nodes), dtype=float)))
     ml = mittag_leffler(MLParams(1.0, 1.0, p), q ** (1.0 / p), tol=1e-14)
     # sup v0 = 0 kills the Mittag-Leffler factor, even an infinite one
     head, ml_tail = (sup_v0 * ml.sum, sup_v0 * ml.tail_bound) \
         if sup_v0 > 0 else (0.0, 0.0)
-    lser = 0.0
-    ltail = 0.0
+    lsv = SeriesValue(0.0, 0.0, 0, True)  # no l
     if inp.l is not None:
-        op_l = GridOperator.on_interval(inp.l, inp.measure, p, inp.domain.lo,
-                                        t, level)
-        lcol = op_l.kernel_row()
-        row_l = _ext_mul(row, lcol)
-        int_l = op_l.row_integral(lcol)
-        for n in range(0, n_cap):
-            lser += _factorial_term(row_l, log_q, n, p)
-            ltail = int_l ** (1.0 / p) * _tail_sum(log_fact, n + 1)
-            if ltail < tol or not math.isfinite(q):
-                break
-    sup_form = head + lser
-    total_tail = tail + ml_tail + ltail
-    return sharp, sup_form, total_tail
+        int_l = op.row_integral(lcol)
+        lsv = _root_sum(_factorial_integrals(_ext_mul(row, lcol), Q), p,
+                        lambda n: int_l ** (1.0 / p) * _tail_sum(log_fact, n),
+                        tol, n_max)
+    return (v_t + sv.sum, head + lsv.sum,
+            sv.tail_bound + ml_tail + lsv.tail_bound)
 
 
 def _lower_set(inp: GronwallInput, t, level: int):
-    """The grid of [lo, t] (None if null), k(t, u)**p, its suffix
-    integrals Q (``Q[0]`` is the gap integral) and v at the nodes."""
-    lo = inp.domain.lo
-    if inp._k_plan.null(lo, t):
-        return None
-    op = GridOperator.on_interval(inp.k, inp.measure, inp.p, lo, t, level)
-    kcol = op.kernel_row()
-    return op, kcol, op.suffix_integrals(kcol), inp._v_values(op.nodes,
-                                                              level)
-
-
-def _log_q(Q: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(Q)
-
-
-def _factorial_term(row_f: np.ndarray, log_q: np.ndarray, n: int,
-                    p: float) -> float:
-    """(integral of f Q**n / n! over the lower set)**(1/p) from the row
-    weights times f and log Q: Q**n / n! is formed in log space and
-    products follow ``0 * inf = 0``."""
-    if n == 0:
-        return max(float(row_f.sum()), 0.0) ** (1.0 / p)
-    with np.errstate(over="ignore"):
-        weight = np.exp(n * log_q - ln_gamma(n + 1.0))
-    return max(float(_ext_mul(row_f, weight).sum()), 0.0) ** (1.0 / p)
+    """The grid of [lo, t] from the k plan, k(t, u)**p and l(t, u)**p on
+    it (None without l; inf without a factorial majorant of l, making the
+    sup forms inf), the suffix integrals Q of k**p and v at the nodes; or
+    the bounds where no series is summed: ``(v0(t), v0(t), 0)`` on a null
+    lower set, ``(inf, inf, inf)`` without a factorial majorant of k."""
+    plan, lo = inp._k_plan, inp.domain.lo
+    if plan.null(lo, t):  # only v0 survives
+        v0_t = float(inp.v0_fn()(np.asarray(float(t))))
+        return v0_t, v0_t, 0.0
+    if not plan._factorial:  # k not declared monotone, or atoms
+        return math.inf, math.inf, math.inf
+    op = plan.op(lo, t, level, finer=False)
+    nodes, kcol, lcol = op.nodes, op.kernel_row(), None
+    if inp.l is not None:
+        lcol = _kernel_power(inp.l, inp.p, np.full(nodes.size, nodes[-1]),
+                             nodes) if inp._l_plan._factorial \
+            else np.full(nodes.size, math.inf)
+    return op, kcol, lcol, op.suffix_integrals(kcol), inp._v_values(nodes,
+                                                                   level)
 
 
 def gronwall_curve(inp: GronwallInput, ts: Sequence[float],
                    tol: float = 1e-12, level: int = 8) -> BoundCurve:
     """Evaluate both Gronwall bounds along a list of points."""
-    sharp = np.empty(len(ts))
-    sup = np.empty(len(ts))
-    worst = 0.0
-    for i, t in enumerate(ts):
-        a, b, tail = gronwall_bound(inp, t, tol=tol, level=level)
-        sharp[i] = a
-        sup[i] = b
-        worst = max(worst, tail)
+    sharp, sup, tails = np.array([gronwall_bound(inp, t, tol=tol, level=level)
+                                  for t in ts]).reshape(-1, 3).T
     return BoundCurve(ts=np.asarray(ts, dtype=float), sharp=sharp, sup=sup,
-                      tail_bound=worst, m=inp.m)
+                      tail_bound=max(tails.tolist(), default=0.0), m=inp.m)
 
 
 @dataclass(frozen=True)

@@ -430,8 +430,8 @@ def _layer_update(A: np.ndarray, R: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _grid_density(measure, nodes: np.ndarray) -> np.ndarray:
     """Node weights of uniform grids along the last axis of ``nodes``: the
-    density of the measure times the panel width."""
-    h = nodes[..., 1:2] - nodes[..., :1]
+    density of the measure times the panel width, range / panels."""
+    h = (nodes[..., -1:] - nodes[..., :1]) / (nodes.shape[-1] - 1)
     if isinstance(measure, Lebesgue):
         return np.full(nodes.shape, h)
     if isinstance(measure, WeightedLebesgue):
@@ -1206,6 +1206,35 @@ def _factorial_log(q: float, p: float):
     return lambda n: (n * log_q - ln_gamma(n + 1.0)) / p
 
 
+def _factorial_integrals(w: np.ndarray, Q: np.ndarray) -> Iterator[float]:
+    """The sums of ``w Q**n / n!``, n = 0, 1, ...: ``h <- h Q / n``, one
+    O(m) product per term, with ``0 * inf = 0``."""
+    h = w
+    for n in itertools.count(1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, h = float(h.sum()), np.multiply(h, Q)
+        h[np.isnan(h)] = 0.0
+        h /= n
+        yield total
+
+
+def _root_sum(integrals: Iterator[float], p: float, tail, tol: float,
+              n_cap: int) -> SeriesValue:
+    """The sum of the p-th roots of ``integrals``, n = 1, ..., n_cap
+    (negative rounding counts as 0), up to the first n where ``tail(n)``,
+    a bound of the terms after the n-th, is below ``tol``; without a tail
+    all n_cap terms, unconverged.  A non-finite integral ends it: inf."""
+    r, total = 1.0 / p, 0.0
+    for n, integ in zip(range(1, n_cap + 1), integrals):
+        if not math.isfinite(integ):
+            return SeriesValue(math.inf, 0.0, n, True)
+        total += max(integ, 0.0) ** r
+        rest = math.inf if tail is None else tail(n)
+        if rest < tol:
+            return SeriesValue(total, rest, n, True)
+    return SeriesValue(total, math.inf, n_cap, False)
+
+
 # ---------------------------------------------------------------------------
 # family dispatch
 # ---------------------------------------------------------------------------
@@ -1360,19 +1389,9 @@ class _GridPlan:
         sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
             else math.inf
         q, terms = self._terms(op, v_vals**self.p)
-        majorant_ok = (self._factorial and math.isfinite(q)
-                       and math.isfinite(sup_v))
-        log_fact = _factorial_log(q, self.p)
-        total = 0.0
-        for n, integ in zip(range(1, n_cap + 1), terms):
-            if not math.isfinite(integ):
-                return SeriesValue(math.inf, 0.0, n, True)
-            total += max(integ, 0.0) ** (1.0 / self.p)
-            if majorant_ok:
-                tail = sup_v * _tail_sum(log_fact, n + 1)
-                if tail < tol:
-                    return SeriesValue(total, tail, n, True)
-        return SeriesValue(total, math.inf, n_cap, False)
+        log_fact = _factorial_log(q, self.p)  # inf q: every tail is inf
+        return _root_sum(terms, self.p, (lambda n: sup_v * _tail_sum(
+            log_fact, n + 1)) if self._factorial else None, tol, n_cap)
 
     def _terms(self, op: GridOperator, vp) -> Tuple[float, Iterator]:
         """The gap integral q = (B 1)(t) and, by Fubini, the integrals g_n(t)
@@ -1615,16 +1634,12 @@ class _FractionalPlan(_GridPlan):
         sup_v = float(np.max(np.asarray(v(np.linspace(t0, t, 257)),
                                         dtype=float)))
         log_ml = lambda k: prm.log_series_bound(k, X, 0.0)  # noqa: E731
-        total = 0.0
-        for n in range(1, n_cap + 1):
-            ln_c = n * ln_gamma(ap) - ln_gamma(ap * n)
-            res = integrate_singular(vp, gamma=1.0, delta=ap * n, a=t0, b=t,
-                                     tol=1e-13)
-            total += (math.exp(ln_c) * max(res.value, 0.0)) ** (1.0 / p)
-            tail_ml = sup_v * _tail_sum(log_ml, n + 1)
-            if tail_ml < tol:
-                return SeriesValue(total, tail_ml, n, True)
-        return SeriesValue(total, math.inf, n_cap, False)
+        integrals = (math.exp(n * ln_gamma(ap) - ln_gamma(ap * n))
+                     * integrate_singular(vp, gamma=1.0, delta=ap * n, a=t0,
+                                          b=t, tol=1e-13).value
+                     for n in itertools.count(1))
+        tail = lambda n: sup_v * _tail_sum(log_ml, n + 1)  # noqa: E731
+        return _root_sum(integrals, p, tail, tol, n_cap)
 
     def vanishing(self, u0, t, domain, strategy, level):
         from .quadrature import integrate_singular
@@ -1757,15 +1772,7 @@ class _RankOnePlan(_GridPlan):
         if not all(np.isfinite(x).all() for x in (row, Q, vp)):
             return super()._terms(op, vp)
         w = op.row_weights * row
-
-        def terms():
-            h = w * vp
-            with np.errstate(over="ignore"):
-                for n in itertools.count(1):
-                    yield float(h.sum())
-                    h = h * Q / n
-
-        return float(w.sum()), terms()
+        return float(w.sum()), _factorial_integrals(w * vp, Q)
 
 
 def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:

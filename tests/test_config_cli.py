@@ -202,6 +202,21 @@ def test_cli_gronwall_curve(tmp_path, capsys):
     assert float(sharp) == pytest.approx(math.e, rel=1e-6)
 
 
+def test_cli_gronwall_kernel_not_monotone_exits_2(capsys):
+    # a negative rate makes the multiplicative kernel decreasing: no closed
+    # Gronwall bound, so the curve is inf and the exit code 2
+    cfg = json.dumps({
+        "domain": {"type": "interval", "lo": 0.0, "hi": 1.0},
+        "measure": {"type": "lebesgue"},
+        "kernel": {"family": "multiplicative", "rate": -1},
+        "params": {"p": 1.0},
+    })
+    code, out, err = run_cli(["gronwall", "--config", cfg, "--points", "4"],
+                             capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert out.splitlines()[-1].endswith(",inf,inf,inf")
+
+
 def test_cli_solve_banach(capsys):
     code, out, _ = run_cli(["solve", "--problem", "banach",
                             "--tol", "1e-8", "--max-iter", "40"], capsys)

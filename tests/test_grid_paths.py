@@ -459,3 +459,18 @@ def test_cli_stdout_identical_across_blas_threads(args):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert len(outs[0]) > 0
+
+
+def test_interval_grid_weights_sum_to_the_range():
+    # the panel width is the range over the number of panels: on [s, t]
+    # away from 0, a width from the first two nodes misses t - s by up to
+    # 1e-11 relative at level 9
+    from fractions import Fraction
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        s, t = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
+        op = GridOperator.on_interval(None, Lebesgue(), 1.0, s, t, 9)
+        total = sum(Fraction(x) for x in op.row_weights.tolist())
+        exact = Fraction(t) - Fraction(s)
+        assert abs(float((total - exact) / exact)) <= 1e-15

@@ -437,3 +437,159 @@ def test_gronwall_bounds_with_l_match_per_node_route(measure, monkeypatch):
     rtol = 0.0 if isinstance(measure, Lebesgue) else 4e-16
     for a, b in zip(new, ref):
         np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms need monotone kernels
+# ---------------------------------------------------------------------------
+
+
+def test_closed_forms_refuse_a_kernel_not_declared_monotone():
+    # u = 1 + integral of k u has u(1) = 2.1192 for this decreasing k; the
+    # frozen factorial series would give 1.6487, which is no bound
+    k = CallableKernel(lambda T, S: 3.0 - 2.5 * T + 0.0 * S)
+    inp = GronwallInput(v0=1.0, k=k, measure=Lebesgue(), p=1.0, domain=DOM)
+    assert gronwall_bound(inp, 1.0) == (math.inf, math.inf, math.inf)
+    assert gronwall_sequence_bound(inp, 1.0, 3, 1.0) == (math.inf,) * 3
+    # the null lower set needs no series
+    assert gronwall_bound(inp, 0.0) == (1.0, 1.0, 0.0)
+
+
+def test_sup_form_refuses_an_l_not_declared_monotone():
+    # the frozen row of this decreasing l gives sup 0.172 below sharp 0.989
+    l_kernel = CallableKernel(lambda T, S: 3.0 - 2.9 * T + 0.0 * S)
+    inp = GronwallInput(v0=0.0, k=constant_kernel(1.0), measure=Lebesgue(),
+                        p=1.0, domain=DOM, l=l_kernel)
+    sharp, sup_form, tail = gronwall_bound(inp, 1.0)
+    assert math.isfinite(sharp) and math.isfinite(tail)
+    assert sup_form == math.inf
+    sharp, sup_form, w_n = gronwall_sequence_bound(inp, 0.0, 3, 1.0)
+    assert math.isfinite(sharp) and sup_form == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the log-space route as reference
+# ---------------------------------------------------------------------------
+
+
+def ref_factorial_term(row_f, log_q, n, p):
+    """(integral of f Q**n / n!)**(1/p), Q**n / n! formed in log space."""
+    from volgron.resolvent import _ext_mul
+    from volgron.specfun import ln_gamma
+
+    if n == 0:
+        return max(float(row_f.sum()), 0.0) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        weight = np.exp(n * log_q - ln_gamma(n + 1.0))
+    return max(float(_ext_mul(row_f, weight).sum()), 0.0) ** (1.0 / p)
+
+
+def ref_lower_set(inp, t, level):
+    from volgron.resolvent import GridOperator, _ext_mul
+
+    op = GridOperator.on_interval(inp.k, inp.measure, inp.p, inp.domain.lo,
+                                  t, level)
+    kcol = op.kernel_row()
+    Q = op.suffix_integrals(kcol)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(Q)
+    lop = None if inp.l is None else GridOperator.on_interval(
+        inp.l, inp.measure, inp.p, inp.domain.lo, t, level)
+    return (op, _ext_mul(op.row_weights, kcol), Q, log_q,
+            inp._v_values(op.nodes, level), lop)
+
+
+def ref_gronwall_bound(inp, t, tol=1e-12, level=8, n_cap=500):
+    """The interval ``gronwall_bound`` with its own log-space term loops."""
+    from volgron.resolvent import _ext_mul, _factorial_log
+    from volgron.specfun import MLParams, _tail_sum, mittag_leffler
+
+    p = inp.p
+    op, row_k, Q, log_q, v_vals, lop = ref_lower_set(inp, t, level)
+    q, v_t, sup_v = Q[0], float(v_vals[-1]), float(np.max(v_vals))
+    row_kv = _ext_mul(op.row_weights, _ext_mul(op.kernel_row(), v_vals**p))
+    log_fact = _factorial_log(q, p)
+    sharp, tail = v_t, math.inf
+    for n in range(0, n_cap):
+        sharp += ref_factorial_term(row_kv, log_q, n, p)
+        tail = sup_v * _tail_sum(log_fact, n + 2)
+        if tail < tol:
+            break
+    sup_v0 = float(np.max(np.asarray(inp.v0_fn()(op.nodes), dtype=float)))
+    ml = mittag_leffler(MLParams(1.0, 1.0, p), q ** (1.0 / p), tol=1e-14)
+    lser, ltail = 0.0, 0.0
+    if lop is not None:
+        lcol = lop.kernel_row()
+        row_l = _ext_mul(op.row_weights, lcol)
+        int_l = lop.row_integral(lcol)
+        for n in range(0, n_cap):
+            lser += ref_factorial_term(row_l, log_q, n, p)
+            ltail = int_l ** (1.0 / p) * _tail_sum(log_fact, n + 1)
+            if ltail < tol:
+                break
+    return (sharp, sup_v0 * ml.sum + lser,
+            tail + sup_v0 * ml.tail_bound + ltail)
+
+
+def ref_sequence_bound(inp, u0, n, t, level=8):
+    """The interval ``gronwall_sequence_bound`` in log space."""
+    from volgron.resolvent import _ext_mul
+    from volgron.specfun import ln_gamma
+
+    p = inp.p
+    op, row_k, Q, log_q, v_vals, lop = ref_lower_set(inp, t, level)
+    q, v_t = Q[0], float(v_vals[-1])
+    u0_vals = np.asarray(u0(op.nodes), dtype=float)
+    w_n = ref_factorial_term(_ext_mul(row_k, u0_vals**p), log_q, n - 1, p)
+    row_kv = _ext_mul(row_k, v_vals**p)
+    sharp = sum((ref_factorial_term(row_kv, log_q, i, p)
+                 for i in range(0, n - 1)), v_t + w_n)
+    sup_v0 = float(np.max(np.asarray(inp.v0_fn()(op.nodes), dtype=float)))
+    head = sum((math.exp((i * math.log(q) - ln_gamma(i + 1.0)) / p)
+                for i in range(1, n)), 1.0)
+    lser = 0.0
+    if lop is not None:
+        row_l = _ext_mul(op.row_weights, lop.kernel_row())
+        lser = sum(ref_factorial_term(row_l, log_q, i, p) for i in range(n))
+    return sharp, sup_v0 * head + w_n + lser, w_n
+
+
+def exact_w_n(inp, u0, n, t, level):
+    """w_n from the same quadrature data, summed in exact rationals."""
+    from fractions import Fraction
+
+    from volgron.resolvent import _ext_mul
+
+    op, row_k, Q, _, _, _ = ref_lower_set(inp, t, level)
+    w = _ext_mul(row_k, np.asarray(u0(op.nodes), dtype=float) ** inp.p)
+    g = sum(Fraction(wi) * Fraction(qi) ** (n - 1) for wi, qi in zip(
+        w.tolist(), Q.tolist())) / math.factorial(n - 1)
+    return float(g) ** (1.0 / inp.p)
+
+
+ULPS4 = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("with_l", [False, True], ids=["no-l", "l"])
+@pytest.mark.parametrize("measure", [Lebesgue(), WEIGHTED_MU],
+                         ids=["lebesgue", "weighted"])
+def test_closed_forms_match_the_log_space_route(measure, with_l, p):
+    inp = GronwallInput(v0=lambda x: 1.0 + np.asarray(x, dtype=float) ** 2,
+                        k=L_SEP, measure=measure, p=p, domain=DOM,
+                        l=constant_kernel(0.6) if with_l else None)
+    for t in (0.3, 1.0):
+        got = gronwall_bound(inp, t, level=6)
+        want = ref_gronwall_bound(inp, t, level=6)
+        np.testing.assert_allclose(got[:2], want[:2], rtol=ULPS4, atol=0.0)
+        assert got[2] == want[2]  # the same tails at the same index
+    u0 = lambda x: 2.0 - np.asarray(x, dtype=float)  # noqa: E731
+    for n in (1, 2, 5, 30, 200):  # 199! overflows a float
+        got = gronwall_sequence_bound(inp, u0, n, 1.0, level=6)
+        want = ref_sequence_bound(inp, u0, n, 1.0, level=6)
+        np.testing.assert_allclose(got[:2], want[:2], rtol=ULPS4, atol=0.0)
+        # w_n alone is held to its exact sum: the log-space weights carry an
+        # error that grows with |n log Q - ln Gamma(n + 1)| (up to 44 ulps
+        # at n = 30 here), the product h <- h Q / n stays within rounding
+        np.testing.assert_allclose(got[2], exact_w_n(inp, u0, n, 1.0, 6),
+                                   rtol=ULPS4, atol=0.0)
