@@ -7,8 +7,12 @@ A problem configuration is an object with ``domain``, ``measure``,
       "domain":  {"type": "interval", "lo": 0.0, "hi": 1.0},
       "measure": {"type": "lebesgue"},
       "kernel":  {"family": "constant", "c": 1.5},
-      "params":  {"p": 1.0, "n": 3, "grid_level": 6, "tol": 1e-8}
+      "params":  {"p": 1.0, "n": 3}
     }
+
+The CLI reads ``p`` and ``n`` from ``params`` for ``resolvent`` and ``p``
+and ``v0`` for ``gronwall``; grid level and tolerance are command-line
+options.
 
 Domains: ``interval`` (lo, hi), ``box`` (factors: list of intervals),
 ``void`` (label).  Measures: ``lebesgue``, ``discrete`` (atoms: list of

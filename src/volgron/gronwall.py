@@ -39,7 +39,7 @@ from .resolvent import (
     _row_integrals,
     fractional_inequality_constant,
 )
-from .specfun import (MLParams, SeriesValue, _log_series, _tail_sum,
+from .specfun import (_LOG_MAX, MLParams, SeriesValue, _log_series, _tail_sum,
                       ln_gamma, mittag_leffler)
 
 __all__ = [
@@ -237,7 +237,8 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     sharp = v_t + w_n + roots(_ext_mul(row_k, v_vals**p), 0, n - 1)
     sup_v0 = float(np.max(np.asarray(v0f(op.nodes), dtype=float)))
     log_fact = _factorial_log(q, p)
-    geo = sum((math.exp(log_fact(i)) for i in range(1, n)), 1.0)
+    geo = sum((math.exp(x) if x <= _LOG_MAX else math.inf
+               for x in map(log_fact, range(1, n))), 1.0)
     lser = 0.0 if inp.l is None else roots(_ext_mul(row, lcol), 0, n)
     sup_form = (sup_v0 * geo if sup_v0 > 0 else 0.0) + w_n + lser
     return sharp, sup_form, w_n

@@ -57,6 +57,11 @@ def _as_fn(f: Union[float, Callable]) -> Callable:
     return lambda x: np.full_like(np.asarray(x, dtype=float), c)
 
 
+# the k0 of every constant kernel: one object, so that a sum of constants
+# is recognised as separable (``SumKernel._diagonal``)
+_ONE = _as_fn(1.0)
+
+
 class Kernel:
     """Base class; concrete families implement ``_value_grid``."""
 
@@ -150,7 +155,7 @@ def constant_kernel(c: float) -> SeparableKernel:
     """
     if c < 0:
         raise ValueError("constant kernels are nonnegative")
-    return SeparableKernel(k0=_as_fn(1.0), k1=_as_fn(c), k0_monotone="increasing")
+    return SeparableKernel(k0=_ONE, k1=_as_fn(c), k0_monotone="increasing")
 
 
 @dataclass(frozen=True)
@@ -289,6 +294,16 @@ class SumKernel(Kernel):
         for k in self.parts[1:]:
             acc = acc + k.eval_grid(T, S)
         return acc
+
+    def _diagonal(self) -> Optional[Callable]:
+        """Separable parts ``k0(t) k1_i(s)`` that share one ``k0`` object
+        sum to the separable ``k0(t) (sum_i k1_i)(s)``, d its diagonal;
+        other sums have none."""
+        k0 = getattr(self.parts[0], "k0", None)
+        if not all(isinstance(k, SeparableKernel) and k.k0 is k0
+                   for k in self.parts):
+            return None
+        return lambda u: self.eval_grid(u, u)
 
 
 @dataclass(frozen=True)

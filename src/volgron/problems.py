@@ -50,19 +50,18 @@ def _trapezoid_cumulative(nodes: np.ndarray) -> np.ndarray:
 def _abel_weights(nodes: np.ndarray, alpha: float) -> np.ndarray:
     """Product-integration weights for the weakly singular integral
     (V @ u)[i] = integral over [t_0, t_i] of (t_i - s)**(alpha-1) u(s) ds
-    with u piecewise linear (exact moments per panel)."""
+    with u piecewise linear (exact moments per panel): one pass over the
+    panels [t_l, t_l+1] below every node t_i, l < i."""
     m = nodes.size
+    ii, ll = np.tril_indices(m, -1)
+    h = nodes[ll + 1] - nodes[ll]
+    b = nodes[ii] - nodes[ll]
+    a = nodes[ii] - nodes[ll + 1]
+    m0 = (b**alpha - a**alpha) / alpha
+    m1 = b * m0 - (b ** (alpha + 1) - a ** (alpha + 1)) / (alpha + 1)
     V = np.zeros((m, m))
-    for i in range(1, m):
-        ti = nodes[i]
-        for l in range(i):
-            h = nodes[l + 1] - nodes[l]
-            b = ti - nodes[l]
-            a = ti - nodes[l + 1]
-            m0 = (b**alpha - a**alpha) / alpha
-            m1 = b * m0 - (b ** (alpha + 1) - a ** (alpha + 1)) / (alpha + 1)
-            V[i, l] += m0 - m1 / h
-            V[i, l + 1] += m1 / h
+    V[ii, ll] = m0 - m1 / h
+    V[ii, ll + 1] += m1 / h
     return V
 
 

@@ -34,10 +34,11 @@ dispatch, ``_plan(kernel, measure, p)``, for the path of its family: the
 void order on atoms (geometric closed forms), fractional kernels on
 Lebesgue measure (gamma-quotient closed forms and the ratio profile),
 rank-one kernels (``k(t, u) k(u, s) = k(t, s) d(u)``: separable, constant,
-multiplicative) on ``Lebesgue`` or ``WeightedLebesgue`` (``R_n = k**p
-Phi**(n-1) / (n-1)!``, ``R = k**p exp(Phi)``, Phi the integral of d**p) or
-the grid (``GridOperator`` on atoms or dyadic intervals, with factorial
-majorants for monotone kernels on atomless measures).  Series carry
+multiplicative, sums of separable kernels with one ``k0``) on ``Lebesgue``
+or ``WeightedLebesgue`` (``R_n = k**p Phi**(n-1) / (n-1)!``, ``R = k**p
+exp(Phi)``, Phi the integral of d**p) or the grid (``GridOperator`` on
+atoms or dyadic intervals, with factorial majorants for monotone kernels
+on atomless measures).  Series carry
 certified truncation tails; every majorant is a log-concave series given
 by its log-terms (``_factorial_log``,
 ``FractionalResolventParams.log_layer_bound`` and ``log_series_bound``)
@@ -55,6 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
@@ -293,8 +295,10 @@ def _ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ext_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A @ X`` over the extended reals with the convention 0 * inf = 0.
+def _ext_matmul(A: np.ndarray, X: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``A @ X`` over the extended reals with the convention 0 * inf = 0,
+    written into ``out`` when given.
 
     A product counts as +inf only when both factors are positive and one
     of them is infinite; every other product with a non-finite factor
@@ -302,8 +306,9 @@ def _ext_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     fin_a, fin_x = np.isfinite(A), np.isfinite(X)
     if fin_a.all() and fin_x.all():
-        return A @ X
-    out = np.asarray(np.where(fin_a, A, 0.0) @ np.where(fin_x, X, 0.0))
+        return np.matmul(A, X, out=out)
+    out = np.asarray(np.matmul(np.where(fin_a, A, 0.0),
+                               np.where(fin_x, X, 0.0), out=out))
     out[_inf_hits(A, X)] = np.inf
     return out
 
@@ -322,8 +327,8 @@ def _tri_matmul(A: np.ndarray, R: np.ndarray,
     ``A[h:, :] @ R[:, :h]``: m**3 / 4 multiply-adds on top of the halves,
     about m**3 / 3 in all against m**3 for ``A @ R``.  Blocks up to
     ``_TRI_LEAF`` rows are plain products.  Every block is written in
-    place into one output: fresh zeros, whose views the recursion passes
-    down as ``out``.
+    place into one output, ``out`` when given (it must be zero above the
+    diagonal) or fresh zeros, whose views the recursion passes down.
     """
     if out is None:
         out = np.zeros(A.shape)
@@ -342,6 +347,26 @@ def _subdiag(X: np.ndarray, d: int) -> np.ndarray:
     """The writable view of ``X[k + d, k]`` in a C-contiguous square X."""
     m = X.shape[0]
     return X.reshape(-1)[d * m::m + 1]
+
+
+_SCRATCH = threading.local()
+
+
+def _workspace(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """This thread's m x m float and bool scratch of ``_LayerStep``.
+
+    Kept per thread and size (grid sizes are dyadic, so one pair per level
+    in use), it saves allocating and first touching two fresh arrays per
+    layer.  Only lower triangles are ever written: the float buffer stays
+    zero above the diagonal.
+    """
+    pairs = getattr(_SCRATCH, "pairs", None)
+    if pairs is None:
+        pairs = _SCRATCH.pairs = {}
+    pair = pairs.get(m)
+    if pair is None:
+        pair = pairs[m] = (np.zeros((m, m)), np.empty((m, m), dtype=bool))
+    return pair
 
 
 class _LayerStep:
@@ -372,7 +397,7 @@ class _LayerStep:
         with np.errstate(invalid="ignore", over="ignore"):
             np.multiply(A, 1.0 if w is None else w, out=low,
                         where=_tril_mask(m))
-        fin = np.isfinite(low)
+        fin = np.isfinite(low, out=_workspace(m)[1])
         self.pos = self.inf = None
         if not fin.all():
             self.pos = (low > 0).astype(float)
@@ -400,18 +425,23 @@ class _LayerStep:
             acc += _tri_matmul(pos, (R == np.inf).astype(float))
         return acc > 0
 
-    def __call__(self, R: np.ndarray) -> np.ndarray:
+    def __call__(self, R: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next layer, written into ``out`` (zero above the diagonal)
+        when given, else into fresh zeros.  R's lower triangle is cleared
+        of non-finite entries and folded in this thread's scratch."""
         m, W = R.shape[0], self.W
-        R = np.where(_tril_mask(m), R, 0.0)
-        fin = np.isfinite(R)
+        X, fin = _workspace(m)
+        np.copyto(X, R, where=_tril_mask(m))
+        np.isfinite(X, out=fin)
         r_finite = bool(fin.all())
         hits = None
         if self.inf is not None or not r_finite:
-            hits = self._hits(R, r_finite)
-            R[~fin] = 0.0
-        r_sub = [_subdiag(R, d).copy() for d in range(self.short)]
-        self._fold(R)
-        out = _tri_matmul(self.A, R)
+            hits = self._hits(X, r_finite)
+            X[~fin] = 0.0
+        r_sub = [_subdiag(X, d).copy() for d in range(self.short)]
+        self._fold(X)
+        out = _tri_matmul(self.A, X, out)
         for N in range(1, self.short):
             k = m - N
             _subdiag(out, N)[:] = sum(W[N, d] * self.sub[N - d][d:d + k]
@@ -610,10 +640,11 @@ class GridOperator:
         return Q
 
     def _stepper(self, left: np.ndarray):
-        """``R -> integral over [s, t] of left(t, u) R(u, s) mu(du)``."""
+        """``(R, out=None) -> integral over [s, t] of left(t, u) R(u, s)
+        mu(du)``, written into ``out`` when given."""
         if self.W is None:
             A = _ext_mul(left, self.weights[None, :])
-            return lambda R: _ext_matmul(A, R)
+            return lambda R, out=None: _ext_matmul(A, R, out)
         return _LayerStep(left, self.W, self.weights)
 
     def compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -624,11 +655,11 @@ class GridOperator:
     def layers(self, n_max: int) -> np.ndarray:
         """The iterated kernels ``R_1 = kp, ..., R_{n_max}`` on the grid."""
         m = self.nodes.size
-        out = np.empty((n_max, m, m))
+        out = np.zeros((n_max, m, m))
         out[0] = self.kp
         step = self._stepper(self.kp)
         for n in range(1, n_max):
-            out[n] = step(out[n - 1])
+            step(out[n - 1], out[n])
         return out
 
 
@@ -1716,8 +1747,9 @@ class _FractionalPlan(_GridPlan):
 
 class _RankOnePlan(_GridPlan):
     """A kernel with ``k(t, u) k(u, s) = k(t, s) d(u)`` for s <= u <= t
-    (``Kernel._diagonal``: separable kernels, d = k0 k1; multiplicative
-    kernels, d = 1) on an atomless measure.  The resolvent inequalities
+    (``Kernel._diagonal``: separable kernels and sums of separable kernels
+    with one ``k0`` object, d = k(u, u); multiplicative kernels, d = 1) on
+    an atomless measure.  The resolvent inequalities
     are identities there: with ``Phi(s, t)`` the integral of d**p over
     [s, t], ``R_n = k**p Phi**(n-1) / (n-1)!`` and ``R = k**p exp(Phi)``.
     Tables and series terms take Phi from the range rules of their grid,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from volgron.domains import Interval1D, VoidSet
+from volgron.domains import Interval1D, QuadratureGrid, VoidSet
 from volgron.fixpoint import (
     DivergentBoundError,
     EvolutionOperatorSpec,
@@ -14,7 +14,12 @@ from volgron.fixpoint import (
 )
 from volgron.kernels import FractionalKernel, VoidKernel, constant_kernel
 from volgron.measures import DiscreteMeasure, Lebesgue
-from volgron.problems import abel_problem, banach_problem, volterra_problem
+from volgron.problems import (
+    _abel_weights,
+    abel_problem,
+    banach_problem,
+    volterra_problem,
+)
 
 DOM = Interval1D(0.0, 1.0)
 
@@ -176,6 +181,38 @@ def test_error_bound_lookup_and_majorant(volterra_solution):
 # ---------------------------------------------------------------------------
 # Abel problem (weakly singular kernel)
 # ---------------------------------------------------------------------------
+
+
+def loop_abel_weights(nodes, alpha):
+    """The product-integration weights panel by panel: exact moments m0,
+    m1 of (t_i - s)**(alpha-1) and (t_i - s)**(alpha-1) (s - t_l) on each
+    panel [t_l, t_l+1] below t_i, split over its two hat functions."""
+    m = nodes.size
+    V = np.zeros((m, m))
+    for i in range(1, m):
+        ti = nodes[i]
+        for l in range(i):
+            h = nodes[l + 1] - nodes[l]
+            b = ti - nodes[l]
+            a = ti - nodes[l + 1]
+            m0 = (b**alpha - a**alpha) / alpha
+            m1 = b * m0 - (b ** (alpha + 1) - a ** (alpha + 1)) / (alpha + 1)
+            V[i, l] += m0 - m1 / h
+            V[i, l + 1] += m1 / h
+    return V
+
+
+@pytest.mark.parametrize("alpha, level", [
+    (0.1, 8), (0.5, 8), (0.75, 8), (0.85, 8), (1.5, 8), (0.75, 9), (0.3, 3)])
+def test_abel_weights_match_the_panel_loop(alpha, level):
+    # both evaluate the moments as differences of powers of size 1 divided
+    # by alpha h, so they differ by rounding of up to a few eps / (alpha h)
+    # where pow rounds differently in the vectorised pass
+    nodes = QuadratureGrid.for_interval(DOM, level).nodes
+    got, ref = _abel_weights(nodes, alpha), loop_abel_weights(nodes, alpha)
+    assert not np.triu(got, 1).any()
+    h = nodes[1] - nodes[0]
+    assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps / (alpha * h)
 
 
 def test_abel_problem_certificate_and_convergence():

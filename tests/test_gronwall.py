@@ -164,6 +164,15 @@ def test_sequence_bound_orders_sharp_below_sup():
         assert sharp <= sup_form + 1e-10
 
 
+def test_sequence_bound_overflows_to_inf():
+    # the sup-form head sums exp((i ln q - ln i!) / p), past 709 from about
+    # i = 460 for q = 800: inf, like the closed bound, not OverflowError
+    inp = GronwallInput(v0=1.0, k=constant_kernel(800.0), measure=Lebesgue(),
+                        p=1.0, domain=Interval1D(0, 1))
+    assert gronwall_bound(inp, 1.0) == (math.inf,) * 3
+    assert gronwall_sequence_bound(inp, 1.0, 500, 1.0) == (math.inf,) * 3
+
+
 # ---------------------------------------------------------------------------
 # closed bounds
 # ---------------------------------------------------------------------------

@@ -1,24 +1,31 @@
 """The rank-one plan: kernels with ``k(t, u) k(u, s) = k(t, s) d(u)``
-(separable, constant and multiplicative) on atomless measures use the
-closed forms ``R_n = k**p Phi**(n-1) / (n-1)!`` and ``R = k**p exp(Phi)``.
-They are checked against a callable twin of the same kernel, which takes
-the grid recursion, and against exact references in ``decimal``."""
+(separable, constant, multiplicative, and sums of separable kernels that
+share one ``k0`` object) on atomless measures use the closed forms ``R_n
+= k**p Phi**(n-1) / (n-1)!`` and ``R = k**p exp(Phi)``.  They are checked
+against a callable twin of the same kernel or the grid table builder,
+which take the grid recursion, and against exact references in
+``decimal``."""
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volgron.domains import Interval1D, QuadratureGrid
 from volgron.kernels import (
     CallableKernel,
+    FractionalKernel,
     MultiplicativeKernel,
     SeparableKernel,
+    SumKernel,
     constant_kernel,
 )
 from volgron.measures import DiscreteMeasure, Lebesgue, WeightedLebesgue
 from volgron.resolvent import (
+    _grid_table,
     _GridPlan,
     _plan,
     _RankOnePlan,
@@ -155,6 +162,131 @@ def test_singular_separable_kernel_keeps_the_grid_table(k0, k1, status):
     assert got.status == ref.status == status
     assert got.err_est == ref.err_est
     np.testing.assert_array_equal(got.values, ref.values)
+
+
+# ---------------------------------------------------------------------------
+# sums of separable kernels with one k0: k0(t) (k1_1 + k1_2 + ...)(s)
+# ---------------------------------------------------------------------------
+
+
+def _k0(t):
+    return 1.0 + A * np.asarray(t, dtype=float)
+
+
+C1, C2 = 0.7, 1.3
+SUMS = {
+    "constants": SumKernel((constant_kernel(C1), constant_kernel(C2))),
+    "shared-k0": SumKernel((
+        SeparableKernel(k0=_k0, k1=lambda s: B + 0.0 * np.asarray(s, float)),
+        SeparableKernel(k0=_k0, k1=lambda s: D * np.asarray(s, float)),
+        SeparableKernel(k0=_k0, k1=lambda s: np.exp(-np.asarray(s, float))))),
+}
+GRID_SUMS = {
+    # equal functions, but two k0 objects
+    "two-k0": SumKernel((
+        SeparableKernel(k0=lambda t: 1.0 + 0.0 * np.asarray(t, float),
+                        k1=lambda s: C1 + 0.0 * np.asarray(s, float)),
+        SeparableKernel(k0=lambda t: 1.0 + 0.0 * np.asarray(t, float),
+                        k1=lambda s: C2 + 0.0 * np.asarray(s, float)))),
+    "callable-part": SumKernel((constant_kernel(C1),
+                                CallableKernel(lambda T, S: C2 + 0.0 * T,
+                                               monotone_flag=True))),
+    "multiplicative-part": SumKernel((constant_kernel(C1),
+                                      KERNELS["mult"])),
+    "fractional-part": SumKernel((constant_kernel(C1),
+                                  FractionalKernel(1.5, 0.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMS))
+def test_sums_with_one_k0_take_the_rank_one_plan(name):
+    for measure in MEASURES.values():
+        assert isinstance(_plan(SUMS[name], measure, 2.0), _RankOnePlan)
+    atoms = DiscreteMeasure(tuple((i / 8, 0.1) for i in range(9)))
+    assert type(_plan(SUMS[name], atoms, 1.0)) is _GridPlan
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SUMS))
+def test_other_sums_keep_the_grid_plan(name):
+    for measure in MEASURES.values():
+        assert type(_plan(GRID_SUMS[name], measure, 1.0)) is _GridPlan
+
+
+def test_sums_on_atoms_keep_the_exact_grid_sums():
+    atoms = DiscreteMeasure(tuple((i / 10, 0.05 + i / 200) for i in range(11)))
+    for kern in SUMS.values():
+        np.testing.assert_array_equal(
+            iterated_kernels(kern, atoms, 1.5, 4).values,
+            iterated_kernels(twin(kern), atoms, 1.5, 4).values)
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+@pytest.mark.parametrize("name", sorted(SUMS))
+def test_sum_tables_match_the_grid_table(name, measure, p, level):
+    kern, mu = SUMS[name], MEASURES[measure]
+    grid = QuadratureGrid.for_interval(DOM, level)
+    got = iterated_kernels(kern, mu, p, 4, grid)
+    ref, ref_err, ref_status = _grid_table(_plan(kern, mu, p), grid, 4, True)
+    assert got.status == ref_status == "certified"
+    scale = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(got.values - ref)) <= ref_err + 1e-13 * scale
+    assert not np.triu(got.values, 1).any()
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_sum_of_constants_is_the_closed_form_of_their_sum(measure, p, level):
+    # c = c1 + c2: R_n = c**p Phi**(n-1) / (n-1)!, Phi = c**p (G(t_i) -
+    # G(t_j)), G the antiderivative of the density
+    grid = QuadratureGrid.for_interval(DOM, level)
+    tab = iterated_kernels(SUMS["constants"], MEASURES[measure], p, 5, grid)
+    e = E if measure == "weighted" else 0.0
+    G = grid.nodes + e * grid.nodes**2 / 2
+    c = (C1 + C2) ** p
+    lower = np.tri(grid.nodes.size, dtype=bool)
+    X = np.where(lower, G[:, None] - G[None, :], 0.0)
+    ref = np.stack([np.where(lower, c, 0.0) * (c * X) ** (n - 1)
+                    / math.factorial(n - 1) for n in range(1, 6)])
+    assert tab.status == "certified"
+    assert np.max(np.abs(tab.values - ref)) <= tab.err_est < 1e-10
+
+
+def test_sum_of_constants_series_is_the_constant_series():
+    # resolvent and series function of c1 + c2 equal those of the constant
+    for p in (1.0, 2.0):
+        got = resolvent_series(SUMS["constants"], Lebesgue(), p, 0.9, 0.2)
+        ref = resolvent_series(constant_kernel(C1 + C2), Lebesgue(), p, 0.9,
+                               0.2)
+        assert got == ref
+        assert series_function_I(SUMS["constants"], Lebesgue(), p, 0.8,
+                                 domain=DOM) == \
+            series_function_I(constant_kernel(C1 + C2), Lebesgue(), p, 0.8,
+                              domain=DOM)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
+       a=st.floats(0.0, 2.0), constants=st.booleans(),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_shared_k0_sums_are_rank_one(cs, a, constants, xs):
+    # k(t, u) k(u, s) = k(t, s) d(u) within the rounding of two sums of
+    # len(cs) products on either side
+    if constants:
+        parts = tuple(constant_kernel(c) for c in cs)
+    else:
+        k0 = lambda t: 1.0 + a * np.asarray(t, float)  # noqa: E731
+        parts = tuple(SeparableKernel(
+            k0=k0, k1=lambda s, c=c: c * (1.0 + np.asarray(s, float)))
+            for c in cs)
+    kern = SumKernel(parts)
+    s, u, t = (np.asarray(x) for x in sorted(xs))
+    d = kern._diagonal()
+    lhs = float(kern.eval_grid(t, u) * kern.eval_grid(u, s))
+    rhs = float(kern.eval_grid(t, s) * d(u))
+    assert abs(lhs - rhs) <= 4 * (len(cs) + 1) * np.finfo(float).eps * rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The blocked lower-triangular product behind every interval layer
-update, the layer step with its left factor prepared once, and the
-status of grid tables that do not resolve their iterates.  References:
-the full product ``np.tril(A) @ np.tril(R)``, the column route through
-``_ext_matmul`` and the per-layer ``_layer_update``."""
+update, the layer step with its left factor prepared once, its per-thread
+scratch, and the status of grid tables that do not resolve their
+iterates.  References: the full product ``np.tril(A) @ np.tril(R)``, the
+column route through ``_ext_matmul``, the per-layer ``_layer_update`` and
+the step on fresh buffers."""
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,10 @@ from volgron.resolvent import (
     _ext_mul,
     _layer_update,
     _LayerStep,
+    _subdiag,
+    ResolventTable,
     _tri_matmul,
+    compose_layers,
     iterated_kernels,
 )
 
@@ -164,6 +169,135 @@ def test_prepared_left_factor_matches_per_layer_update(kernel, measure):
     step = _LayerStep(op.kp, op.W, op.weights)
     np.testing.assert_array_equal(step(layers[1]), layers[2])
     np.testing.assert_array_equal(op.compose(layers[0], layers[1]), layers[2])
+
+
+# ---------------------------------------------------------------------------
+# the step's per-thread scratch
+# ---------------------------------------------------------------------------
+
+
+def fresh_buffer_step(step, R):
+    """``step(R)`` with R copied into fresh arrays: the step before its
+    per-thread scratch."""
+    m, W = R.shape[0], step.W
+    R = np.where(np.tri(m, dtype=bool), R, 0.0)
+    fin = np.isfinite(R)
+    r_finite = bool(fin.all())
+    hits = None
+    if step.inf is not None or not r_finite:
+        hits = step._hits(R, r_finite)
+        R[~fin] = 0.0
+    r_sub = [_subdiag(R, d).copy() for d in range(step.short)]
+    step._fold(R)
+    out = _tri_matmul(step.A, R)
+    for N in range(1, step.short):
+        k = m - N
+        _subdiag(out, N)[:] = sum(W[N, d] * step.sub[N - d][d:d + k]
+                                  * r_sub[d][:k] for d in range(N + 1))
+    if hits is not None:
+        out[hits] = np.inf
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _step_inputs(kind, m, seed):
+    """A and R of size m: finite, holding +inf, or with garbage above the
+    diagonal."""
+    rng = np.random.default_rng(seed)
+    A, R = _lower_pair(rng, m)
+    if kind == "inf":
+        for M in (A, R):
+            pick = rng.random((m, m))
+            M[pick < 0.1] = 0.0
+            M[np.tri(m, dtype=bool) & (pick > 0.97)] = np.inf
+    elif kind == "garbage":
+        A, R = _with_garbage_above(rng, A), _with_garbage_above(rng, R)
+    return A, R
+
+
+STEP_CASES = [(kind, m) for kind in ("finite", "inf", "garbage")
+              for m in (5, 40, _TRI_LEAF + 5, 257)]
+
+
+@pytest.mark.parametrize("kind, m", STEP_CASES)
+def test_layer_step_matches_fresh_buffer_step(kind, m):
+    A, R = _step_inputs(kind, m, m + len(kind))
+    W, w = range_weights_matrix(m), np.linspace(0.5, 1.5, m)
+    step = _LayerStep(A, W, w)
+    ref = fresh_buffer_step(_LayerStep(A, W, w), R)
+    np.testing.assert_array_equal(step(R), ref)
+    out = np.zeros((m, m))
+    assert step(R, out) is out
+    np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("kind, m", STEP_CASES)
+def test_layers_and_compose_match_fresh_buffer_steps(kind, m):
+    A, R = _step_inputs(kind, m, 3 * m + len(kind))
+    nodes = np.linspace(0.0, 1.0, m)
+    op = GridOperator.on_nodes(CallableKernel(lambda T, S: A), WEIGHTED, 1.0,
+                               nodes)
+    ref = [op.kp]
+    for _ in range(3):
+        ref.append(fresh_buffer_step(_LayerStep(op.kp, op.W, op.weights),
+                                     ref[-1]))
+    np.testing.assert_array_equal(op.layers(4), np.stack(ref))
+    np.testing.assert_array_equal(
+        op.compose(A, R),
+        fresh_buffer_step(_LayerStep(A, op.W, op.weights), R))
+
+
+def _level9_table(seed):
+    grid = QuadratureGrid.for_interval(DOM, 9)
+    values = np.stack(_lower_pair(np.random.default_rng(seed), 513))
+    return ResolventTable(grid=grid, n_max=2, p=1.0, values=values,
+                          err_est=0.0, measure=Lebesgue())
+
+
+def test_results_do_not_alias_the_scratch():
+    first, second = _level9_table(1), _level9_table(2)
+    got = compose_layers(first, 1, 2)
+    kept = got.copy()
+    other = compose_layers(second, 1, 2)
+    np.testing.assert_array_equal(got, kept)
+    assert not np.shares_memory(got, other)
+    np.testing.assert_array_equal(compose_layers(first, 1, 2), kept)
+    step = _LayerStep(first.layer(1), range_weights_matrix(513))
+    one = step(first.layer(2))
+    copy = one.copy()
+    step(second.layer(2))
+    np.testing.assert_array_equal(one, copy)
+
+
+def test_threads_compose_with_their_own_scratch():
+    # more threads than cores, switching often: each thread's results must
+    # be those of its own input
+    tables = [_level9_table(seed) for seed in range(4)]
+    refs = [compose_layers(t, 1, 2) for t in tables]
+    failures, done = [], []
+    barrier = threading.Barrier(len(tables))
+
+    def work(i):
+        barrier.wait(timeout=60)
+        for _ in range(5):
+            if not np.array_equal(compose_layers(tables[i], 1, 2), refs[i]):
+                failures.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(tables))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(len(tables)))
+    assert failures == []
 
 
 def test_layer_update_imports_no_scipy_linalg():
