@@ -165,12 +165,12 @@ def uniqueness_certificate(lambda_kernel: Kernel, measure: MeasureSpec,
                            p: float, t_samples: Sequence[float],
                            domain=None) -> str:
     """``"unique"`` when the series function of lambda is certifiably
-    finite at every sample (then at most one fixed point exists), else
-    ``"unknown"``.  Never falsely claims uniqueness.
+    finite at every sample, a finite sum plus tail (then at most one fixed
+    point exists), else ``"unknown"``.  Never falsely claims uniqueness.
     """
     for t in t_samples:
         sv = series_function_I(lambda_kernel, measure, p, t, domain=domain)
-        if not math.isfinite(sv.sum):
+        if not math.isfinite(sv.sum + sv.tail_bound):
             return "unknown"
     return "unique"
 

@@ -179,12 +179,12 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
 
     This is the right-hand side of the resolvent inequality.  In the
     void case the series is geometric and summed in closed form; on
-    intervals the terms are quadrature values with a factorial tail
-    (monotone kernels).  Fractional kernels with beta = 0 on Lebesgue
-    measure use closed-form layers: for a constant v the bound is
-    ``v (1 + I(t))`` with the series function I, for a function v each
-    term is one singular quadrature.  The caller is responsible for having checked
-    the vanishing condition; this routine only evaluates the bound.
+    intervals and atoms the terms are quadrature values with a factorial
+    tail (monotone kernels, atomless measures) or the ratio tail.
+    Fractional kernels with beta = 0 on Lebesgue measure use closed-form
+    layers: for a constant v the bound is ``v (1 + I(t))`` with the series
+    function I, for a function v each term is one singular quadrature.  The
+    caller checks the vanishing condition; this only evaluates the bound.
     """
     return _plan(kernel, measure, p).bound(v, t, domain, tol, level, n_cap)
 
@@ -206,19 +206,22 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
 
     if inp.m == 0:
         plan = inp._k_plan
-        q, pts = plan.q, plan.nodes
+        q, pts, r = plan.q, plan.nodes, 1.0 / p
+
+        def scaled(c, x):  # c q**x: 0 for c = 0, inf past the float range
+            try:
+                return c * q**x if c else 0.0
+            except OverflowError:
+                return math.inf
         int_kv = plan.weighted(inp._v_values(pts))
-        int_ku = plan.weighted(u0f(pts))
         v_t = inp.v_at(float(t))
-        w_n = (q ** (n - 1) * int_ku) ** (1.0 / p)
-        sharp = v_t + w_n + sum(
-            (q**i * int_kv) ** (1.0 / p) for i in range(0, n - 1)
-        )
+        w_n = scaled(plan.weighted(u0f(pts)), n - 1) ** r
+        sharp = v_t + w_n + sum(scaled(int_kv, i) ** r for i in range(n - 1))
         sup_v0 = float(np.max(np.asarray(v0f(pts), dtype=float)))
-        geo = sum(q ** (i / p) for i in range(0, n))
+        geo = sum(scaled(1.0, i / p) for i in range(n))
         lser = 0.0 if inp.l is None else sum(
-            (q**i * inp._l_plan.q) ** (1.0 / p) for i in range(0, n))
-        sup_form = sup_v0 * geo + w_n + lser
+            scaled(inp._l_plan.q, i) ** r for i in range(n))
+        sup_form = (sup_v0 * geo if sup_v0 else 0.0) + w_n + lser
         return sharp, sup_form, w_n
 
     lower = _lower_set(inp, t, level)
@@ -290,9 +293,11 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     lsv = SeriesValue(0.0, 0.0, 0, True)  # no l
     if inp.l is not None:
         int_l = op.row_integral(lcol)
-        lsv = _root_sum(_factorial_integrals(_ext_mul(row, lcol), Q), p,
-                        lambda n: int_l ** (1.0 / p) * _tail_sum(log_fact, n),
-                        tol, n_max)
+        # no majorant of l, or an infinite first term: sup form inf, exactly
+        lsv = SeriesValue(math.inf, 0.0, 1, True) if math.isinf(int_l) else \
+            _root_sum(_factorial_integrals(_ext_mul(row, lcol), Q), p,
+                      lambda n: int_l ** (1.0 / p) * _tail_sum(log_fact, n),
+                      tol, n_max)
     return (v_t + sv.sum, head + lsv.sum,
             sv.tail_bound + ml_tail + lsv.tail_bound)
 

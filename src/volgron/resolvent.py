@@ -14,18 +14,13 @@ bypass grid quadrature entirely via a one-dimensional recursion on one
 homogeneous ratio profile per (alpha, beta, p), with gamma-function
 closed forms when the pole exponent ``beta`` vanishes.
 
-One interval layer is a product of two lower-triangular m x m matrices,
-about a third of the multiply-adds of a full m x m product
-(``_tri_matmul``), plus O(m) work: the range weights are 1 inside long
-ranges, their end weights factor into the first subdiagonals of the two
-factors, and the short ranges are rewritten with their closed rules
-(``_LayerStep``, which prepares the left factor once per table).  A box
-layer of a product kernel with a constant tail is ``tail**n`` times the
-outer product of the two axis layers.  Whatever only needs integrals of the
-iterates over the lower set of t (a single column, the series function,
-the resolvent bound, the Picard certificate layers) never builds layers:
-by Fubini those integrals advance by one matrix-vector product with the
-lower-set operator per term (``GridOperator.column``).  Grid values
+An interval layer is one lower-triangular product (``_LayerStep``); a
+box layer of a product kernel with a constant tail is ``tail**n`` times
+the outer product of the two axis layers.  Whatever only needs integrals
+of the iterates over the lower set of t (a single column, the series
+function, the resolvent bound, the Picard certificate layers) never
+builds layers: by Fubini they advance by one matrix-vector product with
+the lower-set operator per term (``GridOperator.powers``).  Grid values
 follow the convention ``0 * inf = 0``; no layer, table entry, series
 term, sum component or residual is ever NaN.
 
@@ -37,18 +32,13 @@ rank-one kernels (``k(t, u) k(u, s) = k(t, s) d(u)``: separable, constant,
 multiplicative, sums of separable kernels with one ``k0``) on ``Lebesgue``
 or ``WeightedLebesgue`` (``R_n = k**p Phi**(n-1) / (n-1)!``, ``R = k**p
 exp(Phi)``, Phi the integral of d**p) or the grid (``GridOperator`` on
-atoms or dyadic intervals, with factorial majorants for monotone kernels
-on atomless measures).  Series carry
-certified truncation tails; every majorant is a log-concave series given
-by its log-terms (``_factorial_log``,
-``FractionalResolventParams.log_layer_bound`` and ``log_series_bound``)
-and summed by ``specfun._log_series``, which bounds the remainder by
-twice the next term once the term ratio is below 1/2, and returns
-``inf`` instead of raising on float overflow.  Kernels with no
-recognised majorant still get a truncated value, flagged as
-unconverged.  Quadrature error is controlled separately by the grid
-level (series evaluate their recursions one level finer than
-requested).
+atoms or dyadic intervals).  ``_root_sum`` is the one loop that sums a
+resolvent series, with a certified tail: a log-concave majorant summed
+by ``specfun._log_series`` (factorial for monotone kernels on atomless
+measures, Mittag-Leffler for fractional kernels), else the positivity
+tail of ``_ratio_tail``.  Tails bound the truncation of the operator's
+own series; quadrature error is set by the grid level (series recurse
+one level finer than requested).
 """
 
 from __future__ import annotations
@@ -58,7 +48,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -589,6 +579,12 @@ class GridOperator:
         if self._b_finite and np.isfinite(g).all():
             return self.B @ g
         return _ext_matmul(self.B, g)
+
+    def powers(self, g: np.ndarray) -> Iterator[np.ndarray]:
+        """g, B g, B**2 g, ...: every grid series, iterate and certificate."""
+        while True:
+            yield g
+            g = self.column(g)
 
     def kernel_row(self) -> np.ndarray:
         """k(t, u)**p at the last node t, for every node u."""
@@ -1249,21 +1245,47 @@ def _factorial_integrals(w: np.ndarray, Q: np.ndarray) -> Iterator[float]:
         yield total
 
 
+def _ratio_tail(columns: Iterator[np.ndarray], p: float, certify: bool):
+    """The last entries g_n(t) of the columns g_1, g_2, ... of a
+    ``GridOperator`` B >= 0 (kernel powers and range weights are
+    nonnegative), and, if ``certify``, the tail of their p-th roots: once
+    g_n >= 0 and g_{n+1} <= theta g_n entrywise, theta < 1, every later
+    column shrinks by theta too, so the terms after the n-th are at most
+    g_{n+1}(t)**(1/p) / (1 - theta**(1/p)); else inf."""
+    if not certify:
+        return (float(g[-1]) for g in columns), None
+    columns, ahead = itertools.tee(columns)
+    pairs, r = itertools.pairwise(ahead), 1.0 / p
+
+    def tail(n: int) -> float:
+        g, nxt = next(pairs)
+        pos = g > 0
+        if (g < 0).any() or not (nxt >= 0).all() or nxt[~pos].any() \
+                or not np.isfinite(nxt).all():
+            return math.inf
+        with np.errstate(over="ignore"):
+            theta = float(np.max(nxt[pos] / g[pos], initial=0.0)) ** r
+        return float(nxt[-1]) ** r / (1.0 - theta) if theta < 1.0 \
+            else math.inf
+
+    return (float(g[-1]) for g in columns), tail
+
+
 def _root_sum(integrals: Iterator[float], p: float, tail, tol: float,
               n_cap: int) -> SeriesValue:
-    """The sum of the p-th roots of ``integrals``, n = 1, ..., n_cap
-    (negative rounding counts as 0), up to the first n where ``tail(n)``,
-    a bound of the terms after the n-th, is below ``tol``; without a tail
-    all n_cap terms, unconverged.  A non-finite integral ends it: inf."""
-    r, total = 1.0 / p, 0.0
+    """The one loop that adds resolvent series terms: the p-th roots of
+    ``integrals`` (negative rounding as 0) up to the first n where the
+    bound ``tail(n)`` of the rest is below ``tol``, else all n_cap (or all
+    there are), unconverged; a non-finite term gives inf, unconverged."""
+    r, total, n = 1.0 / p, 0.0, 0
     for n, integ in zip(range(1, n_cap + 1), integrals):
         if not math.isfinite(integ):
-            return SeriesValue(math.inf, 0.0, n, True)
+            return SeriesValue(math.inf, math.inf, n, False)
         total += max(integ, 0.0) ** r
         rest = math.inf if tail is None else tail(n)
         if rest < tol:
             return SeriesValue(total, rest, n, True)
-    return SeriesValue(total, math.inf, n_cap, False)
+    return SeriesValue(total, math.inf, n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1328,34 +1350,21 @@ class _GridPlan:
 
     def resolvent(self, t, s, tol, level, n_cap) -> SeriesValue:
         kp_at = self._kp(t, s)
-        if self.null(s, t):
-            # null range: only the first iterate survives
+        if self.null(s, t) or math.isinf(kp_at):
+            # a null range keeps the first iterate alone; R >= k**p = inf
             return SeriesValue(kp_at, 0.0, 1, True)
         op = self.op(s, t, level)
-        rho = op.kernel_column(s)
-        q = float(op.column(np.ones(op.nodes.size))[-1])
-        majorant_ok = self._factorial and math.isfinite(q)
-        log_fact = _factorial_log(q, 1.0)
-        total = 0.0
-        for n in range(1, n_cap + 1):
-            term = float(rho[-1])
-            if not math.isfinite(term):
-                if math.isinf(kp_at):
-                    # the resolvent dominates its first iterate
-                    return SeriesValue(math.inf, 0.0, n, True)
-                # an infinite grid term of a finite kernel value is a
-                # quadrature artefact (a singular kernel), not a divergence
-                return SeriesValue(total, math.inf, n - 1, False)
-            total += term
-            if majorant_ok:
-                tail = kp_at * _tail_sum(log_fact, n)
-                if tail < tol:
-                    return SeriesValue(total, tail, n, True)
-            elif term < tol * 1e-3 and n > 3:
-                # no recognised majorant: truncate when terms stall, unconverged
-                return SeriesValue(total, math.inf, n, False)
-            rho = op.column(rho)
-        return SeriesValue(total, math.inf, n_cap, False)
+        q = float(op.column(np.ones(op.nodes.size))[-1]) \
+            if self._factorial else math.inf
+        terms, tail = _ratio_tail(op.powers(op.kernel_column(s)), 1.0,
+                                  math.isinf(q) and op._b_finite)
+        if math.isfinite(q):
+            log_fact = _factorial_log(q, 1.0)
+            tail = lambda n: kp_at * _tail_sum(log_fact, n)  # noqa: E731
+        # an infinite grid term of a finite kernel value is a quadrature
+        # artefact (a singular kernel), not a divergence: the terms end
+        return _root_sum(itertools.takewhile(math.isfinite, terms), 1.0,
+                         tail, tol, n_cap)
 
     def residual(self, t, s, grid, n_cap) -> float:
         if grid is None:
@@ -1366,15 +1375,13 @@ class _GridPlan:
         op = fine if self.discrete else self.op(s, t, grid.level, finer=False)
         k_ts = self._kp(t, s)  # p = 1
         scale = max(1.0, abs(k_ts))
-        cur = fine.kernel_column(s)
-        rho = np.zeros_like(cur)
-        for _ in range(n_cap):
+        rho = np.zeros(fine.nodes.size)
+        for cur in itertools.islice(fine.powers(fine.kernel_column(s)), n_cap):
             rho = rho + cur
             if math.isinf(rho[-1]):
                 return math.inf  # the grid does not resolve the singularity
             if float(np.max(np.abs(cur))) < 1e-16 * scale:
                 break
-            cur = fine.column(cur)
         rho_coarse = rho[::1 if self.discrete else 2]
         lhs = float(rho_coarse[-1])
         rhs = k_ts + float(op.column(rho_coarse)[-1])
@@ -1385,10 +1392,8 @@ class _GridPlan:
         if self.null(s, t):
             return self._kp(t, s) if n == 1 else 0.0
         op = self.op(s, t, level, finer=False)
-        rho = op.kernel_column(s)
-        for _ in range(n - 1):
-            rho = op.column(rho)
-        return float(rho[-1])
+        cols = op.powers(op.kernel_column(s))
+        return float(next(itertools.islice(cols, n - 1, None))[-1])
 
     def series_function(self, t, domain, tol, level, n_cap) -> SeriesValue:
         return self.series(1.0, t, domain, tol, level, n_cap)
@@ -1413,27 +1418,24 @@ class _GridPlan:
                 ) -> SeriesValue:
         """``series`` over [lo, t], term n the p-th root of the integral
         g_n(t) of ``_terms``.  The factorial tail is ``sup v * T(q)`` with
-        the gap integral q; a non-finite q or sup v disables it.
+        the gap integral q; without it the terms carry the ratio tail.
         """
         op = self.op(lo, t, level)
         v_vals = np.asarray(_as_fn(v)(op.nodes), dtype=float)
         sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
             else math.inf
-        q, terms = self._terms(op, v_vals**self.p)
-        log_fact = _factorial_log(q, self.p)  # inf q: every tail is inf
-        return _root_sum(terms, self.p, (lambda n: sup_v * _tail_sum(
-            log_fact, n + 1)) if self._factorial else None, tol, n_cap)
+        q, terms, tail = self._terms(op, v_vals**self.p)
+        if self._factorial and math.isfinite(q):
+            log_fact = _factorial_log(q, self.p)
+            tail = lambda n: sup_v * _tail_sum(log_fact, n + 1)  # noqa: E731
+        return _root_sum(terms, self.p, tail, tol, n_cap)
 
-    def _terms(self, op: GridOperator, vp) -> Tuple[float, Iterator]:
-        """The gap integral q = (B 1)(t) and, by Fubini, the integrals g_n(t)
-        with g_1 = B v**p, g_{n+1} = B g_n: a matrix-vector product each."""
-        def terms():
-            g = op.column(vp)
-            while True:
-                yield float(g[-1])
-                g = op.column(g)
-
-        return float(op.column(np.ones(op.nodes.size))[-1]), terms()
+    def _terms(self, op: GridOperator, vp):
+        """q = (B 1)(t), the integrals g_n(t) (by Fubini g_1 = B v**p,
+        g_{n+1} = B g_n) and their ratio tail where no majorant holds."""
+        q = float(op.column(np.ones(op.nodes.size))[-1])
+        return (q,) + _ratio_tail(op.powers(op.column(vp)), self.p, not (
+            self._factorial and math.isfinite(q)) and op._b_finite)
 
     def _gap(self, lo, t, level):
         """The grid of [lo, t], k(t, u)**p on it and its integral (inf
@@ -1493,16 +1495,12 @@ class _GridPlan:
                 "no certified tail for this increment kernel: it must be "
                 "monotone, fractional with beta = 0, or void-ordered"
             )
-        # by Fubini g_1 = B w0**p and g_{i+1} = B g_i (see ``_series``)
+        # by Fubini g_1 = B w0**p and g_{i+1} = B g_i (see ``_terms``)
         p = self.p
         op = GridOperator.on_nodes(self.kernel, self.measure, p, ts)
         q_prof = op.column(np.ones(ts.size))
-        b = np.empty((n_layers, ts.size))
-        g = op.column(w0**p)
-        for i in range(n_layers):
-            b[i] = np.maximum(g, 0.0) ** (1.0 / p)
-            if i + 1 < n_layers:
-                g = op.column(g)
+        cols = itertools.islice(op.powers(op.column(w0**p)), n_layers)
+        b = np.array([np.maximum(g, 0.0) ** (1.0 / p) for g in cols])
         sup_w0 = np.maximum.accumulate(w0)
         tail = np.array([sup_w0[j] * _tail_sum(_factorial_log(float(q), p),
                                                n_layers + 1)
@@ -1572,9 +1570,8 @@ class _VoidPlan(_GridPlan):
                 f"{q:.6g} >= 1"
             )
         c0, lam0 = self.weighted(w0), q ** (1.0 / p)
-        b = np.empty((n_layers, nodes.size))
-        for i in range(1, n_layers + 1):
-            b[i - 1] = (c0 * q ** (i - 1)) ** (1.0 / p)
+        b = np.array([[(c0 * q**i) ** (1.0 / p)] * nodes.size
+                      for i in range(n_layers)])
         tail = (c0 ** (1.0 / p) * q ** (n_layers / p)
                 / (1.0 - lam0)) if c0 > 0 else 0.0
         return (nodes, w0, b, np.full(nodes.size, tail),
@@ -1597,30 +1594,30 @@ class _FractionalPlan(_GridPlan):
         x, y = float(t) - float(s), float(s) - self.kernel.t0
         if x <= 0:
             raise ValueError("need s < t for fractional kernels")
+        if params.beta_p > 0 and y <= 0:
+            # the first iterate is infinite on the pole, and so the resolvent
+            return SeriesValue(math.inf, 0.0, 1, True)
         # beta > 0: one profile, advanced one layer per term
-        prof = (_FractionalProfile(params, x / y)
-                if params.beta_p > 0 and y > 0 else None)
+        f = (_FractionalProfile(params, x / y).f if params.beta_p > 0
+             else partial(fractional_f, params))
         log_maj = lambda k: params.log_layer_bound(  # noqa: E731
             k, x, y, params.ln_c_hat_max)
-        # a tail from n + 1 <= above sums the term at ``above``, which is
-        # >= tol: it cannot stop the loop and needs no recomputation
-        total, above = 0.0, 0
-        for n in range(1, n_cap + 1):
-            term = (float(prof.f(n, x, y)) if prof is not None
-                    else fractional_f(params, n, x, y))
-            if math.isinf(term):
-                return SeriesValue(math.inf, 0.0, n, True)
-            total += term
+        above = 0
+
+        def tail(n: int) -> float:
+            # a tail from n + 1 <= above sums the term at ``above``, which
+            # is >= tol: it cannot stop the sum and needs no recomputation
+            nonlocal above
             if n < above:
-                continue
+                return math.inf
             sv = _log_series(log_maj, n + 1, math.inf, 100_000)  # _tail_sum
-            tail = sv.sum + sv.tail_bound
-            if tail < tol:
-                return SeriesValue(total, tail, n, True)
             last = n + sv.terms_used
             if log_maj(last) > _LOG_MAX or math.exp(log_maj(last)) >= tol:
                 above = last
-        return SeriesValue(total, math.inf, n_cap, False)
+            return sv.sum + sv.tail_bound
+
+        return _root_sum((float(f(n, x, y)) for n in itertools.count(1)),
+                         1.0, tail, tol, n_cap)
 
     def iterate(self, n, t, s, level):
         return fractional_f(self.params, n, t - s, s - self.kernel.t0)
@@ -1804,7 +1801,7 @@ class _RankOnePlan(_GridPlan):
         if not all(np.isfinite(x).all() for x in (row, Q, vp)):
             return super()._terms(op, vp)
         w = op.row_weights * row
-        return float(w.sum()), _factorial_integrals(w * vp, Q)
+        return float(w.sum()), _factorial_integrals(w * vp, Q), None
 
 
 def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
@@ -1849,15 +1846,15 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     Truncation is certified family by family: factorial majorants for
     monotone kernels with finite gap integrals on atomless measures,
     exact geometric sums in the void case, Mittag-Leffler majorants for
-    fractional kernels on Lebesgue measure; rank-one kernels (separable,
-    constant, multiplicative) on ``Lebesgue`` and ``WeightedLebesgue``
-    return the closed form ``k**p exp(Phi +- delta)``, delta the error of
-    Phi plus rounding, as the enclosure ``[sum, sum + tail]``, converged
-    when its width is below ``tol``.  A
-    provably divergent series returns ``inf`` (converged, zero tail); a
-    kernel with no recognised majorant, or whose grid terms turn infinite
-    while ``k(t, s)**p`` is finite, returns the truncated sum with
-    ``converged=False``.
+    fractional kernels on Lebesgue measure, and the positivity (ratio)
+    tail of the grid columns for every other kernel on atoms or a grid
+    with finite weights; rank-one kernels (separable, constant,
+    multiplicative) on ``Lebesgue`` and ``WeightedLebesgue`` return the
+    closed form ``k**p exp(Phi +- delta)``, delta the error of Phi plus
+    rounding, as the enclosure ``[sum, sum + tail]``, converged when its
+    width is below ``tol``.  An infinite ``k(t, s)**p`` returns ``inf``
+    (converged, zero tail); a tail not below ``tol`` within ``n_cap``
+    terms, or an infinite grid term, leaves the sum ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -1898,7 +1895,9 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
       from the Mittag-Leffler majorant, flagged ``converged=False`` (no
       two-sided certificate);
     * monotone interval kernels with finite gap integral on atomless
-      measures: quadrature terms with a factorial tail.
+      measures: quadrature terms with a factorial tail;
+    * every other kernel on atoms or a grid: quadrature terms with the
+      positivity (ratio) tail, inf and unconverged at an infinite term.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -1932,15 +1931,10 @@ def sum_decomposition(parts: Sequence[Kernel], measure: MeasureSpec, n: int,
         raise ValueError("need s <= t")
 
     ops = [_plan(k, measure, 1.0).op(s, t, level, finer=False) for k in parts]
-    columns: Dict[Tuple[int, ...], np.ndarray] = {
-        (a,): op.kernel_column(s) for a, op in enumerate(ops)
-    }
+    columns = {(a,): op.kernel_column(s) for a, op in enumerate(ops)}
     for _ in range(n - 1):
-        nxt: Dict[Tuple[int, ...], np.ndarray] = {}
-        for idx, col in columns.items():
-            for a, op in enumerate(ops):
-                nxt[idx + (a,)] = op.column(col)
-        columns = nxt
+        columns = {idx + (a,): op.column(col) for idx, col in columns.items()
+                   for a, op in enumerate(ops)}
     return {idx: float(col[-1]) for idx, col in columns.items()}
 
 
