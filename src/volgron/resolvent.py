@@ -14,13 +14,18 @@ bypass grid quadrature entirely via a one-dimensional recursion on one
 homogeneous ratio profile per (alpha, beta, p), with gamma-function
 closed forms when the pole exponent ``beta`` vanishes.
 
-An interval layer is one lower-triangular product (``_LayerStep``); a
-box layer of a product kernel with a constant tail is ``tail**n`` times
-the outer product of the two axis layers.  Whatever only needs integrals
-of the iterates over the lower set of t (a single column, the series
-function, the resolvent bound, the Picard certificate layers) never
-builds layers: by Fubini they advance by one matrix-vector product with
-the lower-set operator per term (``GridOperator.powers``).  Grid values
+One interval layer is a product of two lower-triangular m x m matrices,
+about a third of the multiply-adds of a full m x m product
+(``_tri_matmul``), plus O(m) work: the range weights are 1 inside long
+ranges, their end weights factor into the first subdiagonals of the two
+factors, and the short ranges are rewritten with their closed rules
+(``_LayerStep``, which prepares the left factor once per table).  A box
+layer of a product kernel with a constant tail is ``tail**n`` times the
+outer product of the two axis layers.  Whatever only needs integrals of the
+iterates over the lower set of t (a single column, the series function,
+the resolvent bound, the Picard certificate layers) never builds layers:
+by Fubini those integrals advance by one matrix-vector product with the
+lower-set operator per term (``GridOperator.powers``).  Grid values
 follow the convention ``0 * inf = 0``; no layer, table entry, series
 term, sum component or residual is ever NaN.
 
@@ -33,12 +38,19 @@ multiplicative, sums of separable kernels with one ``k0``) on ``Lebesgue``
 or ``WeightedLebesgue`` (``R_n = k**p Phi**(n-1) / (n-1)!``, ``R = k**p
 exp(Phi)``, Phi the integral of d**p) or the grid (``GridOperator`` on
 atoms or dyadic intervals).  ``_root_sum`` is the one loop that sums a
-resolvent series, with a certified tail: a log-concave majorant summed
-by ``specfun._log_series`` (factorial for monotone kernels on atomless
-measures, Mittag-Leffler for fractional kernels), else the positivity
-tail of ``_ratio_tail``.  Tails bound the truncation of the operator's
-own series; quadrature error is set by the grid level (series recurse
-one level finer than requested).
+resolvent series, with a certified truncation tail.  Where a majorant is
+recognised (factorial for monotone kernels on atomless measures,
+Mittag-Leffler for fractional kernels) the tail is a log-concave series
+given by its log-terms (``_factorial_log``,
+``FractionalResolventParams.log_layer_bound`` and ``log_series_bound``)
+and summed by ``specfun._log_series``, which bounds the remainder by
+twice the next term once the term ratio is below 1/2, and returns
+``inf`` instead of raising on float overflow.  Elsewhere, on atoms or a
+grid whose operator B is finite and nonnegative, the positivity tail of
+``_ratio_tail`` bounds the rest once one column shrinks entrywise by a
+factor theta < 1.  Either tail bounds the truncation of the operator's
+own series; quadrature error is controlled separately by the grid level
+(series evaluate their recursions one level finer than requested).
 """
 
 from __future__ import annotations
@@ -573,6 +585,12 @@ class GridOperator:
     @cached_property
     def _b_finite(self) -> bool:
         return bool(np.isfinite(self.B).all())
+
+    @cached_property
+    def _b_certifiable(self) -> bool:
+        """Whether B is finite and nonnegative, as the ratio tail needs
+        (a kernel power of a sign-changing kernel at p = 1 is not)."""
+        return self._b_finite and bool((self.B >= 0).all())
 
     def column(self, g: np.ndarray) -> np.ndarray:
         """``B @ g`` with ``0 * inf = 0``."""
@@ -1247,18 +1265,21 @@ def _factorial_integrals(w: np.ndarray, Q: np.ndarray) -> Iterator[float]:
 
 def _ratio_tail(columns: Iterator[np.ndarray], p: float, certify: bool):
     """The last entries g_n(t) of the columns g_1, g_2, ... of a
-    ``GridOperator`` B >= 0 (kernel powers and range weights are
-    nonnegative), and, if ``certify``, the tail of their p-th roots: once
-    g_n >= 0 and g_{n+1} <= theta g_n entrywise, theta < 1, every later
-    column shrinks by theta too, so the terms after the n-th are at most
-    g_{n+1}(t)**(1/p) / (1 - theta**(1/p)); else inf."""
+    ``GridOperator`` and, if ``certify`` (B finite and nonnegative), the
+    tail of their p-th roots: once g_n >= 0 and g_{n+1} <= theta g_n
+    entrywise, theta < 1, every later column shrinks by theta too, so the
+    terms after the n-th are at most g_{n+1}(t)**(1/p) / (1 - theta**(1/p));
+    else inf.  ``tail(n)`` must be called for n = 1, 2, ... in turn."""
     if not certify:
         return (float(g[-1]) for g in columns), None
     columns, ahead = itertools.tee(columns)
-    pairs, r = itertools.pairwise(ahead), 1.0 / p
+    pairs, r = enumerate(itertools.pairwise(ahead), 1), 1.0 / p
 
     def tail(n: int) -> float:
-        g, nxt = next(pairs)
+        k, (g, nxt) = next(pairs)
+        if k != n:
+            raise RuntimeError(f"ratio tail asked for term {n} after "
+                               f"{k - 1}: it reads each column pair in turn")
         pos = g > 0
         if (g < 0).any() or not (nxt >= 0).all() or nxt[~pos].any() \
                 or not np.isfinite(nxt).all():
@@ -1356,11 +1377,9 @@ class _GridPlan:
         op = self.op(s, t, level)
         q = float(op.column(np.ones(op.nodes.size))[-1]) \
             if self._factorial else math.inf
-        terms, tail = _ratio_tail(op.powers(op.kernel_column(s)), 1.0,
-                                  math.isinf(q) and op._b_finite)
-        if math.isfinite(q):
-            log_fact = _factorial_log(q, 1.0)
-            tail = lambda n: kp_at * _tail_sum(log_fact, n)  # noqa: E731
+        # R_n(t, s) <= k**p(t, s) q**(n-1) / (n-1)!
+        terms, tail = self._tailed(op, op.powers(op.kernel_column(s)), 1.0,
+                                   q, kp_at, 0)
         # an infinite grid term of a finite kernel value is a quadrature
         # artefact (a singular kernel), not a divergence: the terms end
         return _root_sum(itertools.takewhile(math.isfinite, terms), 1.0,
@@ -1417,25 +1436,37 @@ class _GridPlan:
     def _series(self, v, lo: float, t: float, tol, level, n_cap
                 ) -> SeriesValue:
         """``series`` over [lo, t], term n the p-th root of the integral
-        g_n(t) of ``_terms``.  The factorial tail is ``sup v * T(q)`` with
-        the gap integral q; without it the terms carry the ratio tail.
-        """
+        g_n(t) of ``_terms``."""
         op = self.op(lo, t, level)
         v_vals = np.asarray(_as_fn(v)(op.nodes), dtype=float)
         sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
             else math.inf
-        q, terms, tail = self._terms(op, v_vals**self.p)
-        if self._factorial and math.isfinite(q):
-            log_fact = _factorial_log(q, self.p)
-            tail = lambda n: sup_v * _tail_sum(log_fact, n + 1)  # noqa: E731
+        terms, tail = self._terms(op, v_vals**self.p, sup_v)
         return _root_sum(terms, self.p, tail, tol, n_cap)
 
-    def _terms(self, op: GridOperator, vp):
-        """q = (B 1)(t), the integrals g_n(t) (by Fubini g_1 = B v**p,
-        g_{n+1} = B g_n) and their ratio tail where no majorant holds."""
+    def _terms(self, op: GridOperator, vp, sup_v):
+        """The integrals g_n(t), by Fubini g_1 = B v**p and g_{n+1} = B g_n,
+        and their tail; g_n(t)**(1/p) <= sup v (q**n / n!)**(1/p) with the
+        gap integral q = (B 1)(t)."""
         q = float(op.column(np.ones(op.nodes.size))[-1])
-        return (q,) + _ratio_tail(op.powers(op.column(vp)), self.p, not (
-            self._factorial and math.isfinite(q)) and op._b_finite)
+        return self._tailed(op, op.powers(op.column(vp)), self.p, q, sup_v, 1)
+
+    def _factorial_tail(self, p, q, scale, first):
+        """Where the factorial majorant holds (``_factorial``, finite gap
+        integral q) and term n is at most ``scale * (q**j / j!)**(1/p)``,
+        j = n - 1 + first: the bound of the terms after the n-th."""
+        if not (self._factorial and math.isfinite(q)):
+            return None
+        log_fact = _factorial_log(q, p)
+        return lambda n: scale * _tail_sum(log_fact, n + first)
+
+    def _tailed(self, op: GridOperator, columns, p, q, scale, first):
+        """The last entries of ``op``'s ``columns`` and the one tail of
+        their p-th roots: factorial where it holds, else the ratio tail."""
+        tail = self._factorial_tail(p, q, scale, first)
+        if tail is None:
+            return _ratio_tail(columns, p, op._b_certifiable)
+        return (float(g[-1]) for g in columns), tail
 
     def _gap(self, lo, t, level):
         """The grid of [lo, t], k(t, u)**p on it and its integral (inf
@@ -1570,8 +1601,9 @@ class _VoidPlan(_GridPlan):
                 f"{q:.6g} >= 1"
             )
         c0, lam0 = self.weighted(w0), q ** (1.0 / p)
-        b = np.array([[(c0 * q**i) ** (1.0 / p)] * nodes.size
-                      for i in range(n_layers)])
+        b = np.empty((n_layers, nodes.size))
+        for i in range(1, n_layers + 1):
+            b[i - 1] = (c0 * q ** (i - 1)) ** (1.0 / p)
         tail = (c0 ** (1.0 / p) * q ** (n_layers / p)
                 / (1.0 - lam0)) if c0 > 0 else 0.0
         return (nodes, w0, b, np.full(nodes.size, tail),
@@ -1794,14 +1826,15 @@ class _RankOnePlan(_GridPlan):
             kp = kp * res.value / i
         return kp
 
-    def _terms(self, op, vp):
-        """q and g_n(t), the integral of ``k**p(t, s) Phi(s, t)**(n-1) /
-        (n-1)! v(s)**p`` over the range: one O(m) sum per term."""
+    def _terms(self, op, vp, sup_v):
+        """g_n(t), the integral of ``k**p(t, s) Phi(s, t)**(n-1) / (n-1)!
+        v(s)**p`` over the range, one O(m) sum per term, and its tail."""
         row, Q = op.kernel_row(), self.gap_profile(op.nodes)
         if not all(np.isfinite(x).all() for x in (row, Q, vp)):
-            return super()._terms(op, vp)
+            return super()._terms(op, vp, sup_v)
         w = op.row_weights * row
-        return float(w.sum()), _factorial_integrals(w * vp, Q), None
+        return _factorial_integrals(w * vp, Q), self._factorial_tail(
+            self.p, float(w.sum()), sup_v, 1)
 
 
 def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
@@ -1848,13 +1881,14 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     exact geometric sums in the void case, Mittag-Leffler majorants for
     fractional kernels on Lebesgue measure, and the positivity (ratio)
     tail of the grid columns for every other kernel on atoms or a grid
-    with finite weights; rank-one kernels (separable, constant,
-    multiplicative) on ``Lebesgue`` and ``WeightedLebesgue`` return the
-    closed form ``k**p exp(Phi +- delta)``, delta the error of Phi plus
-    rounding, as the enclosure ``[sum, sum + tail]``, converged when its
-    width is below ``tol``.  An infinite ``k(t, s)**p`` returns ``inf``
-    (converged, zero tail); a tail not below ``tol`` within ``n_cap``
-    terms, or an infinite grid term, leaves the sum ``converged=False``.
+    whose operator is finite and nonnegative; rank-one kernels
+    (separable, constant, multiplicative) on ``Lebesgue`` and
+    ``WeightedLebesgue`` return the closed form ``k**p exp(Phi +- delta)``,
+    delta the error of Phi plus rounding, as the enclosure ``[sum, sum +
+    tail]``, converged when its width is below ``tol``.  An infinite
+    ``k(t, s)**p`` returns ``inf`` (converged, zero tail); a tail not
+    below ``tol`` within ``n_cap`` terms, or an infinite grid term, leaves
+    the sum ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -1897,7 +1931,8 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
     * monotone interval kernels with finite gap integral on atomless
       measures: quadrature terms with a factorial tail;
     * every other kernel on atoms or a grid: quadrature terms with the
-      positivity (ratio) tail, inf and unconverged at an infinite term.
+      positivity (ratio) tail where the grid operator is finite and
+      nonnegative, inf and unconverged at an infinite term.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -1931,10 +1966,15 @@ def sum_decomposition(parts: Sequence[Kernel], measure: MeasureSpec, n: int,
         raise ValueError("need s <= t")
 
     ops = [_plan(k, measure, 1.0).op(s, t, level, finer=False) for k in parts]
-    columns = {(a,): op.kernel_column(s) for a, op in enumerate(ops)}
+    columns: Dict[Tuple[int, ...], np.ndarray] = {
+        (a,): op.kernel_column(s) for a, op in enumerate(ops)
+    }
     for _ in range(n - 1):
-        columns = {idx + (a,): op.column(col) for idx, col in columns.items()
-                   for a, op in enumerate(ops)}
+        nxt: Dict[Tuple[int, ...], np.ndarray] = {}
+        for idx, col in columns.items():
+            for a, op in enumerate(ops):
+                nxt[idx + (a,)] = op.column(col)
+        columns = nxt
     return {idx: float(col[-1]) for idx, col in columns.items()}
 
 

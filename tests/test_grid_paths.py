@@ -390,11 +390,12 @@ def test_series_route_constant_kernel_same_terms(p):
 def test_series_route_discrete_measure_is_exact_sum():
     mu = DiscreteMeasure(tuple((i / 8, 0.05 + i / 40) for i in range(8)))
     sv = series_function_I(SEP, mu, 1.0, 0.8, domain=DOM)
-    # the ratio tail stops the column route; the table route has no tail
-    ref = table_route_series(SEP, mu, 1.0, 0.8, 1e-10, 8,
-                             n_cap=sv.terms_used)
-    assert sv.converged and sv.terms_used == ref.terms_used
-    assert sv.sum == pytest.approx(ref.sum, rel=1e-13)
+    # the table route has no tail on atoms: its 400 terms are the sum to
+    # rounding, which the ratio tail of the column route encloses
+    ref = table_route_series(SEP, mu, 1.0, 0.8, 1e-10, 8)
+    assert sv.converged
+    assert sv.sum <= ref.sum * (1 + 1e-13)
+    assert ref.sum <= (sv.sum + sv.tail_bound) * (1 + 1e-13)
 
 
 def test_non_finite_gap_integral_disables_the_majorant():

@@ -28,6 +28,7 @@ from volgron.resolvent import (
     _factorial_log,
     _FractionalProfile,
     _plan,
+    _ratio_tail,
     _root_sum,
     fractional_f,
     resolvent_series,
@@ -285,6 +286,28 @@ def test_ratio_tail_encloses_the_atom_solve(problem):
     assert sv.converged
     assert sv.sum <= exact * (1 + 1e-13)
     assert exact <= (sv.sum + sv.tail_bound) * (1 + 1e-13)
+
+
+def test_sign_changing_kernel_gets_no_ratio_tail():
+    # B = [[0.1, 0, 0], [0, 0.1, 0], [-0.4, -0.4, 0.95]]: g_1 = B 1 and
+    # g_2 = B g_1 are nonnegative with ratio 5/12, but B is not, and the
+    # later columns shrink by 0.95.  A ratio tail would claim
+    # [0.15, 0.257] for the exact 11/9 at tol 0.5.
+    kern = CallableKernel(lambda T, S: np.where(
+        T > 0.75, np.where(S > 0.75, 0.95, -0.4), np.where(T == S, 0.1, 0.0)))
+    mu = DiscreteMeasure(((0.0, 1.0), (0.5, 1.0), (1.0, 1.0)))
+    assert not GridOperator.on_atoms(kern, mu, 1.0)._b_certifiable
+    sv = series_function_I(kern, mu, 1.0, 1.0, tol=0.5, domain=DOM)
+    assert not sv.converged and sv.tail_bound == math.inf
+    assert sv.sum == pytest.approx(11 / 9, rel=1e-8)
+
+
+def test_ratio_tail_reads_its_column_pairs_in_turn():
+    cols = (np.array([1.0, 2.0]) * 0.5**n for n in range(10))
+    terms, tail = _ratio_tail(cols, 1.0, True)
+    assert next(terms) == 2.0 and tail(1) == pytest.approx(2.0)
+    with pytest.raises(RuntimeError, match="in turn"):
+        tail(3)
 
 
 # ---------------------------------------------------------------------------
