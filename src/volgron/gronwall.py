@@ -37,6 +37,7 @@ from .resolvent import (
     _plan,
     _root_sum,
     _row_integrals,
+    _scaled_power,
     fractional_inequality_constant,
 )
 from .specfun import (_LOG_MAX, MLParams, SeriesValue, _log_series, _tail_sum,
@@ -207,20 +208,15 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     if inp.m == 0:
         plan = inp._k_plan
         q, pts, r = plan.q, plan.nodes, 1.0 / p
-
-        def scaled(c, x):  # c q**x: 0 for c = 0, inf past the float range
-            try:
-                return c * q**x if c else 0.0
-            except OverflowError:
-                return math.inf
         int_kv = plan.weighted(inp._v_values(pts))
         v_t = inp.v_at(float(t))
-        w_n = scaled(plan.weighted(u0f(pts)), n - 1) ** r
-        sharp = v_t + w_n + sum(scaled(int_kv, i) ** r for i in range(n - 1))
+        w_n = _scaled_power(plan.weighted(u0f(pts)), q, n - 1) ** r
+        sharp = v_t + w_n + sum(_scaled_power(int_kv, q, i) ** r
+                                for i in range(n - 1))
         sup_v0 = float(np.max(np.asarray(v0f(pts), dtype=float)))
-        geo = sum(scaled(1.0, i / p) for i in range(n))
+        geo = sum(_scaled_power(1.0, q, i / p) for i in range(n))
         lser = 0.0 if inp.l is None else sum(
-            scaled(inp._l_plan.q, i) ** r for i in range(n))
+            _scaled_power(inp._l_plan.q, q, i) ** r for i in range(n))
         sup_form = (sup_v0 * geo if sup_v0 else 0.0) + w_n + lser
         return sharp, sup_form, w_n
 

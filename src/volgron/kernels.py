@@ -192,15 +192,18 @@ class FractionalKernel(Kernel):
             )
 
     def _value_grid(self, T, S):
-        x = T - S
-        y = S - self.t0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vx = np.where(x > 0, x ** (self.alpha - 1.0),
-                          1.0 if self.alpha == 1.0 else
-                          (0.0 if self.alpha > 1.0 else np.inf))
-            vy = np.where(y > 0, y ** (-self.beta),
-                          1.0 if self.beta == 0.0 else np.inf)
-        return vx * vy
+        return _fractional_values(self.alpha, self.beta, T - S, S - self.t0)
+
+
+def _fractional_values(alpha: float, beta: float, x, y) -> np.ndarray:
+    """``x**(alpha - 1) * y**(-beta)`` at gaps x and offsets y, with its
+    limits at x <= 0 and y <= 0 (inf on a pole)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = np.where(x > 0, x ** (alpha - 1.0),
+                      1.0 if alpha == 1.0 else
+                      (0.0 if alpha > 1.0 else np.inf))
+        vy = np.where(y > 0, y ** (-beta), 1.0 if beta == 0.0 else np.inf)
+    return vx * vy
 
 
 @dataclass(frozen=True)
@@ -256,19 +259,12 @@ class TransformedFractionalKernel(Kernel):
         return bool(np.all(np.diff(phi) > 0) and np.all(dot > 0))
 
     def _value_grid(self, T, S):
-        pt = np.asarray(self.phi(T), dtype=float)
         ps = np.asarray(self.phi(S), dtype=float)
-        p0 = float(self.phi(np.asarray(self.t0)))
-        x = pt - ps
-        y = ps - p0
-        dot = np.asarray(self.phi_dot(S), dtype=float)
-        total = np.zeros(np.broadcast(x, y).shape)
-        for a, b in zip(self.alphas, self.betas):
-            vx = np.where(x > 0, x ** (a - 1.0),
-                          1.0 if a == 1.0 else (0.0 if a > 1.0 else np.inf))
-            vy = np.where(y > 0, y ** (-b), 1.0 if b == 0.0 else np.inf)
-            total = total + vx * vy
-        return dot * total
+        x = np.asarray(self.phi(T), dtype=float) - ps
+        y = ps - float(self.phi(np.asarray(self.t0)))
+        total = sum(_fractional_values(a, b, x, y)
+                    for a, b in zip(self.alphas, self.betas))
+        return np.asarray(self.phi_dot(S), dtype=float) * total
 
 
 @dataclass(frozen=True)

@@ -79,3 +79,12 @@ class ProductMeasure:
 
 
 MeasureSpec = Union[Lebesgue, WeightedLebesgue, DiscreteMeasure, ProductMeasure]
+
+
+def _density(weight: Callable, x) -> np.ndarray:
+    """``weight(x)`` as floats: every grid and quadrature rule reads a
+    density here, so a negative weight raises on every path."""
+    w = np.asarray(weight(x), dtype=float)
+    if np.any(w < 0):
+        raise ValueError("measure weights must be nonnegative")
+    return w

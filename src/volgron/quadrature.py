@@ -32,6 +32,7 @@ from .measures import (
     MeasureSpec,
     ProductMeasure,
     WeightedLebesgue,
+    _density,
 )
 
 __all__ = [
@@ -124,7 +125,7 @@ def _lebesgue_1d(f, region: Interval1D, weight, tol, min_level, max_level):
         wv = _as_vectorized(weight)
 
         def g(x):
-            return np.asarray(fv(x), dtype=float) * np.asarray(wv(x), dtype=float)
+            return np.asarray(fv(x), dtype=float) * _density(wv, x)
 
     return _smooth_1d(g, region.lo, region.hi, tol, min_level, max_level)
 
@@ -170,7 +171,7 @@ def _box_tensor(f, region: ProductBox, measure, tol, min_level, max_level):
         for ax, wfn in zip(region.factors, weights_fn):
             n, w = gauss_panel_rule(ax.lo, ax.hi, 2**level)
             if wfn is not None:
-                w = w * np.asarray(wfn(n), dtype=float)
+                w = w * _density(wfn, n)
             axis_nodes.append(n)
             axis_weights.append(w)
         mesh = np.meshgrid(*axis_nodes, indexing="ij")

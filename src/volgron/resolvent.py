@@ -9,10 +9,13 @@ The resolvent sequence of a kernel k against a measure mu starts at
 Every grid recursion runs through one ``GridOperator``: the nodes, the
 per-node weights (density times panel width on intervals, masses on
 atoms) and the interval range weights, which are exact for cubics.
-Discrete and void-ordered settings are exact sums; fractional kernels
-bypass grid quadrature entirely via a one-dimensional recursion on one
-homogeneous ratio profile per (alpha, beta, p), with gamma-function
-closed forms when the pole exponent ``beta`` vanishes.
+Discrete and void-ordered settings are exact sums.  Fractional kernels
+and their sums transported by an increasing phi bypass grid quadrature:
+one builder tabulates both (``_fractional_sum_layers`` on the nodes or on
+phi(nodes)), by multinomial gamma-quotient closed forms when every pole
+exponent ``beta`` vanishes, otherwise by a one-dimensional recursion on
+one homogeneous ratio profile per (alpha, beta, p); every diagonal is the
+small-gap limit.
 
 One interval layer is a product of two lower-triangular m x m matrices,
 about a third of the multiply-adds of a full m x m product
@@ -83,6 +86,7 @@ from .measures import (
     MeasureSpec,
     ProductMeasure,
     WeightedLebesgue,
+    _density,
 )
 from .quadrature import integrate, range_weights_matrix
 from .specfun import (_LOG_MAX, SeriesValue, _log_series, _tail_sum,
@@ -467,10 +471,7 @@ def _grid_density(measure, nodes: np.ndarray) -> np.ndarray:
     if isinstance(measure, Lebesgue):
         return np.full(nodes.shape, h)
     if isinstance(measure, WeightedLebesgue):
-        w = np.asarray(measure.weight(nodes), dtype=float)
-        if np.any(w < 0):
-            raise ValueError("measure weights must be nonnegative")
-        return h * w
+        return h * _density(measure.weight, nodes)
     raise TypeError(f"measure {measure!r} has no density on a grid")
 
 
@@ -792,7 +793,9 @@ def _jacobi_rule(deg: int, a: float, b: float):
     (1-lam)**a * lam**b * g(lam) d lam."""
     from scipy.special import roots_jacobi
 
-    xj, wj = roots_jacobi(deg, a, b)
+    # scipy divides by 1 + a + b in a branch it masks: 0 when a + b = -1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xj, wj = roots_jacobi(deg, a, b)
     lam = 0.5 * (xj + 1.0)
     w = wj * 2.0 ** (-a - b - 1.0)
     return lam, w
@@ -878,24 +881,17 @@ class _FractionalProfile:
 def _gap_limit(params: FractionalResolventParams, n: int, y: float) -> float:
     """Limit of the n-th iterate as the gap variable tends to zero.
 
-    The small-gap exponent is ``alpha_p n - 1`` (the pole weight is
-    regular at the inner point there), with the gamma-quotient constant
-    in the degenerate exponent-zero case.
+    The small-gap exponent is ``A - 1`` with ``A = alpha_p n`` (the pole
+    weight is regular at the inner point there): the limit is inf for
+    A < 1, 0 for A > 1, and for A = 1 the beta = 0 gamma-quotient
+    coefficient ``gamma(alpha_p)**n / gamma(A)`` times ``y**(-beta_p n)``.
     """
     ap = params.alpha_p
-    tau = ap * n - 1.0
-    if tau > 0:
-        return 0.0
-    if tau < 0:
-        return math.inf
-    # tau == 0: psi_n(0+) = y**(-beta_p n) * prod of beta factors
-    log_c = sum(math.log(_beta_val(ap * i, ap)) for i in range(1, n))
+    if ap * n != 1.0:
+        return 0.0 if ap * n > 1.0 else math.inf
+    log_c = n * ln_gamma(ap) - ln_gamma(ap * n)
     return math.exp(log_c - params.beta_p * n * math.log(y)) \
         if params.beta_p > 0 else math.exp(log_c)
-
-
-def _beta_val(a: float, b: float) -> float:
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
 
 # (Chebyshev degree, Jacobi nodes) of the two profiles behind a table: the
@@ -951,73 +947,57 @@ def _count_vectors(n: int, N: int):
             yield (head,) + rest
 
 
-def _transformed_layers(kernel: TransformedFractionalKernel, p, nodes,
-                        n_max, budget: int = 100_000
-                        ) -> Tuple[np.ndarray, float]:
-    """Iterates of a transformed fractional sum kernel, and their error
-    estimate.
+def _fractional_sum_layers(alphas: Sequence[float],
+                           pole: Optional[FractionalResolventParams],
+                           z: np.ndarray, z0: float, n_max: int
+                           ) -> Tuple[np.ndarray, float, str]:
+    """Iterates of the sum of the kernels x**(alpha_j - 1) at gaps x of
+    increasing coordinates z, or of the one-part kernel ``pole`` with a
+    pole exponent (``_gap_tables``, certified), their error estimate and
+    status.
 
-    Transporting by the increasing map reduces every layer to the gap
-    recursion; with all pole exponents zero the multi-index components
-    collapse into a multinomial sum of gamma quotients (exact), otherwise
-    the single-part layers are the gap tables of ``_gap_tables`` in phi
-    coordinates scaled by ``phi_dot`` of the inner argument (several
-    singular parts are not supported).  The transported setting holds for
-    p = 1.
+    Without a pole, layer n is the multinomial sum over the count vectors
+    c of ``_count_vectors(n, N)``, with ``A = sum_j c_j alpha_j``,
+
+        n! / prod c_j! * prod gamma(alpha_j)**c_j / gamma(A) * x**(A - 1)
+
+    at gap x, exact; one part gives the gamma-quotient closed form.  The
+    diagonal is its small-gap limit: inf if some A < 1, else the sum of
+    the coefficients with A = 1, else 0.
     """
-    if p != 1.0:
-        raise NotImplementedError(
-            "transformed fractional tables hold in the p = 1 setting"
-        )
-    m = nodes.size
-    phi = np.asarray(kernel.phi(nodes), dtype=float)
-    phi0 = float(kernel.phi(np.asarray(kernel.t0)))
-    dot = np.asarray(kernel.phi_dot(nodes), dtype=float)
-    N = kernel.n_parts
-    layers = np.zeros((n_max, m, m))
-    X = phi[:, None] - phi[None, :]
-    strict = np.tril(np.ones((m, m), dtype=bool), k=-1)
-
-    if all(b == 0.0 for b in kernel.betas):
-        n_counts = sum(1 for n in range(1, n_max + 1)
-                       for _ in _count_vectors(n, N))
-        if n_counts > budget:
-            raise ComponentBudgetError(
-                f"{n_counts} multinomial components exceed budget {budget}"
+    if pole is not None:
+        if len(alphas) != 1:
+            raise NotImplementedError(
+                "several transformed parts with poles exceed the supported "
+                "setting; decompose with sum_decomposition instead"
             )
-        alphas = np.asarray(kernel.alphas)
-        ln_g = np.array([ln_gamma(a) for a in alphas])
-        for n in range(1, n_max + 1):
-            vals = np.zeros((m, m))
-            acc = np.zeros(int(strict.sum()))
-            lx = np.log(X[strict])
-            ln_fact_n = ln_gamma(n + 1.0)
-            for counts in _count_vectors(n, N):
-                iv = np.asarray(counts, dtype=float)
-                A = float(iv @ alphas)
-                log_coef = (ln_fact_n - sum(ln_gamma(c + 1.0) for c in counts)
-                            + float(iv @ ln_g) - ln_gamma(A))
-                acc += np.exp(log_coef + (A - 1.0) * lx)
-            vals[strict] = acc
-            sing = min(float(np.asarray(c, dtype=float) @ alphas)
-                       for c in _count_vectors(n, N))
-            np.fill_diagonal(vals, 0.0 if sing > 1.0 else np.inf)
-            with np.errstate(invalid="ignore"):
-                prod = vals * dot[None, :]
-            # inf * 0 at a vanishing-derivative node follows the
-            # measure-theoretic convention
-            layers[n - 1] = np.where(np.isnan(prod), 0.0, prod)
-        return layers, 0.0
-
-    if N != 1:
-        raise NotImplementedError(
-            "several transformed parts with poles exceed the supported "
-            "setting; decompose with sum_decomposition instead"
+        return _gap_tables(pole, z, z0, n_max) + ("certified",)
+    N, m = len(alphas), z.size
+    n_counts = sum(math.comb(n + N - 1, N - 1) for n in range(1, n_max + 1))
+    if n_counts > 100_000:
+        raise ComponentBudgetError(
+            f"{n_counts} multinomial components exceed budget 100000"
         )
-    params = FractionalResolventParams(kernel.alphas[0], kernel.betas[0], 1.0)
-    gap, err = _gap_tables(params, phi, phi0, n_max)
-    dot_max = float(np.max(dot, initial=0.0, where=np.isfinite(dot)))
-    return _ext_mul(gap, dot[None, None, :]), err * dot_max
+    alphas = np.asarray(alphas, dtype=float)
+    ln_g = np.array([ln_gamma(a) for a in alphas])
+    layers = np.zeros((n_max, m, m))
+    strict = ~_tril_mask(m).T
+    lx = np.log((z[:, None] - z[None, :])[strict])
+    for n in range(1, n_max + 1):
+        ln_fact_n = ln_gamma(n + 1.0)
+        acc, a_min, at_one = 0.0, math.inf, 0.0
+        for counts in _count_vectors(n, N):
+            iv = np.asarray(counts, dtype=float)
+            A = float(iv @ alphas)
+            log_coef = (ln_fact_n - sum(ln_gamma(c + 1.0) for c in counts)
+                        + float(iv @ ln_g) - ln_gamma(A))
+            acc = acc + np.exp(log_coef + (A - 1.0) * lx)
+            a_min = min(a_min, A)
+            if A == 1.0:
+                at_one += math.exp(log_coef)
+        layers[n - 1][strict] = acc
+        np.fill_diagonal(layers[n - 1], math.inf if a_min < 1.0 else at_one)
+    return layers, 0.0, "exact"
 
 
 def fractional_f(params: FractionalResolventParams, n: int,
@@ -1039,37 +1019,15 @@ def fractional_f(params: FractionalResolventParams, n: int,
     if x < 0:
         raise ValueError("x must be nonnegative")
     bp = params.beta_p
-    if bp == 0.0:
-        if x == 0.0:
-            return _gap_limit(params, n, y)
-        ap = params.alpha_p
-        return math.exp(n * ln_gamma(ap) - ln_gamma(ap * n)
-                        + (ap * n - 1.0) * math.log(x))
-    if y <= 0:
+    if bp > 0 and y <= 0:
         return math.inf
     if x == 0.0:
         return _gap_limit(params, n, y)
-    return float(_FractionalProfile(params, x / y).f(n, x, y))
-
-
-def _fractional_layers(params: FractionalResolventParams, t0: float, nodes,
-                       n_max) -> Tuple[np.ndarray, float]:
-    m = nodes.size
-    layers = np.zeros((n_max, m, m))
-
-    if params.beta_p == 0.0:
-        ap = params.alpha_p
-        X = nodes[:, None] - nodes[None, :]
-        strict = np.tril(np.ones((m, m), dtype=bool), k=-1)
-        for n in range(1, n_max + 1):
-            ln_c = n * ln_gamma(ap) - ln_gamma(ap * n)
-            expo = ap * n - 1.0
-            vals = np.zeros((m, m))
-            vals[strict] = np.exp(ln_c + expo * np.log(X[strict]))
-            np.fill_diagonal(vals, _gap_limit(params, n, 1.0))
-            layers[n - 1] = vals
-        return layers, 0.0
-    return _gap_tables(params, nodes, t0, n_max)
+    if bp > 0:
+        return float(_FractionalProfile(params, x / y).f(n, x, y))
+    ap = params.alpha_p
+    return math.exp(n * ln_gamma(ap) - ln_gamma(ap * n)
+                    + (ap * n - 1.0) * math.log(x))
 
 
 # ---------------------------------------------------------------------------
@@ -1172,15 +1130,32 @@ def _rank_one_table(plan, grid, n_max, estimate_error):
 
 
 def _fractional_table(plan, grid, n_max, estimate_error):
-    layers, err = _fractional_layers(plan.params, plan.kernel.t0,
-                                     grid.nodes, n_max)
-    return layers, err, "certified" if plan.params.beta_p else "exact"
+    prm = plan.params  # the kernel power is fractional with alpha_p, beta_p
+    return _fractional_sum_layers((prm.alpha_p,), prm if prm.beta_p else None,
+                                  grid.nodes, plan.kernel.t0, n_max)
 
 
 def _transformed_table(plan, grid, n_max, estimate_error):
-    layers, err = _transformed_layers(plan.kernel, plan.p, grid.nodes,
-                                      n_max)
-    return layers, err, "certified" if any(plan.kernel.betas) else "exact"
+    """The fractional table of the parts on phi(nodes), scaled by
+    ``phi_dot`` of the inner argument; the transport holds for p = 1."""
+    kernel, nodes = plan.kernel, grid.nodes
+    if plan.p != 1.0:
+        raise NotImplementedError(
+            "transformed fractional tables hold in the p = 1 setting"
+        )
+    pole = FractionalResolventParams(kernel.alphas[0], kernel.betas[0],
+                                     1.0) if any(kernel.betas) else None
+    layers, err, status = _fractional_sum_layers(
+        kernel.alphas, pole, np.asarray(kernel.phi(nodes), dtype=float),
+        float(kernel.phi(np.asarray(kernel.t0))), n_max)
+    dot = np.asarray(kernel.phi_dot(nodes), dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        layers *= dot
+    # inf * 0 at a vanishing-derivative node follows the measure-theoretic
+    # convention
+    layers[np.isnan(layers)] = 0.0
+    dot_max = float(np.max(dot, initial=0.0, where=np.isfinite(dot)))
+    return layers, err * dot_max, status
 
 
 def _box_axis_measures(measure, ndim):
@@ -1539,6 +1514,27 @@ class _GridPlan:
         return b, tail, np.where(q_prof > 0, q_prof, 0.0) ** (1.0 / p)
 
 
+class _BoxPlan(_GridPlan):
+    """A product kernel on a box: tables only (``_box_table``)."""
+
+    def _one_axis(self, *args, **kwargs):
+        raise NotImplementedError(
+            "product kernels are tabulated by iterated_kernels; for "
+            "iterates pass their axis kernels to product_bound"
+        )
+
+    resolvent = residual = iterate = series_function = bound = vanishing = \
+        lipschitz = certificate = op = null = _one_axis
+
+
+def _scaled_power(c: float, q: float, x) -> float:
+    """``c * q**x``: 0 for c = 0, inf past the float range."""
+    try:
+        return c * q**x if c else 0.0
+    except OverflowError:
+        return math.inf
+
+
 class _VoidPlan(_GridPlan):
     """The void order on atoms (the Fredholm case): every lower set is
     the whole set, ``R_n(t, s) = k1(s)**p q**(n-1)`` with
@@ -1575,7 +1571,7 @@ class _VoidPlan(_GridPlan):
         return abs(r_col - (k_s + self.weighted(r_col)))
 
     def iterate(self, n, t, s, level):
-        return self._k1p_at(s) * self.q ** (n - 1)
+        return _scaled_power(self._k1p_at(s), self.q, n - 1)
 
     def series(self, v, t, domain, tol, level, n_cap):
         if self.q >= 1.0:
@@ -1841,9 +1837,10 @@ def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
     """The path of a kernel family on a measure, validated once: void
     kernels need atoms (``TypeError`` otherwise), fractional kernels take
     their closed forms on Lebesgue measure only, kernels with a declared
-    diagonal take the rank-one closed forms on atomless measures, and
-    everything else takes the grid, box and transported fractional kernels
-    with their own table builders."""
+    diagonal take the rank-one closed forms on atomless measures, product
+    kernels take box tables only (``NotImplementedError`` at every other
+    entry point), and everything else takes the grid, transported
+    fractional kernels with their own table builder."""
     if p < 1:
         raise ValueError("p must be >= 1")
     discrete = isinstance(measure, DiscreteMeasure)
@@ -1855,8 +1852,8 @@ def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
     if isinstance(kernel, FractionalKernel) and lebesgue:
         return _FractionalPlan(kernel, measure, p)
     if isinstance(kernel, ProductKernel):
-        table_layers = _box_table
-    elif isinstance(kernel, TransformedFractionalKernel) and lebesgue:
+        return _BoxPlan(kernel, measure, p, discrete, _box_table)
+    if isinstance(kernel, TransformedFractionalKernel) and lebesgue:
         table_layers = _transformed_table
     elif kernel._diagonal() is not None and \
             isinstance(measure, (Lebesgue, WeightedLebesgue)):
