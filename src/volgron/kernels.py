@@ -184,8 +184,10 @@ class FractionalKernel(Kernel):
         return self.alpha >= 1.0
 
     def require_p(self, p: float) -> None:
-        """Validate beta + 1 - 1/p < alpha, needed for p-integrability."""
-        if not self.beta + 1.0 - 1.0 / p < self.alpha:
+        """Validate beta + 1 - 1/p < alpha, needed for p-integrability:
+        the exponents of the p-th power satisfy beta_p < alpha_p."""
+        alpha_p, beta_p = _power_exponents(self.alpha, self.beta, p)
+        if not beta_p < alpha_p:
             raise ValueError(
                 f"fractional kernel needs beta + 1 - 1/p < alpha, got "
                 f"alpha={self.alpha}, beta={self.beta}, p={p}"
@@ -195,15 +197,25 @@ class FractionalKernel(Kernel):
         return _fractional_values(self.alpha, self.beta, T - S, S - self.t0)
 
 
+def _power_exponents(alpha: float, beta: float,
+                     p: float) -> Tuple[float, float]:
+    """The exponents ``(alpha_p, beta_p) = ((alpha - 1) p + 1, beta p)`` of
+    the p-th power of a fractional kernel; alpha_p is alpha itself at
+    p = 1, unrounded."""
+    return (alpha if p == 1.0 else (alpha - 1.0) * p + 1.0), beta * p
+
+
 def _fractional_values(alpha: float, beta: float, x, y) -> np.ndarray:
     """``x**(alpha - 1) * y**(-beta)`` at gaps x and offsets y, with its
-    limits at x <= 0 and y <= 0 (inf on a pole)."""
+    limits at x <= 0 and y <= 0 (inf on a pole, 0 * inf = 0 where both
+    meet)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         vx = np.where(x > 0, x ** (alpha - 1.0),
                       1.0 if alpha == 1.0 else
                       (0.0 if alpha > 1.0 else np.inf))
         vy = np.where(y > 0, y ** (-beta), 1.0 if beta == 0.0 else np.inf)
-    return vx * vy
+        out = vx * vy
+    return np.where(np.isnan(out), 0.0, out)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ from functools import cached_property, lru_cache, partial
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .domains import Interval1D, ProductBox, QuadratureGrid
 from .extreal import ExtReal
@@ -79,6 +78,7 @@ from .kernels import (
     VoidKernel,
     _as_fn,
     _leq_points,
+    _power_exponents,
 )
 from .measures import (
     DiscreteMeasure,
@@ -687,9 +687,10 @@ class GridOperator:
 class FractionalResolventParams:
     """Derived quantities of a fractional kernel raised to the power p.
 
-    With ``alpha_p = (alpha - 1) p + 1`` the p-th power of the kernel is
-    again fractional with exponents ``(alpha_p, beta * p)``; the class
-    constraint is ``beta * p < alpha_p``.
+    With ``alpha_p = (alpha - 1) p + 1`` (alpha itself at p = 1) the p-th
+    power of the kernel is again fractional with exponents
+    ``(alpha_p, beta * p)``; the class constraint is ``beta * p < alpha_p``,
+    the inequality ``FractionalKernel.require_p`` checks.
     """
 
     alpha: float
@@ -709,11 +710,11 @@ class FractionalResolventParams:
 
     @property
     def alpha_p(self) -> float:
-        return (self.alpha - 1.0) * self.p + 1.0
+        return _power_exponents(self.alpha, self.beta, self.p)[0]
 
     @property
     def beta_p(self) -> float:
-        return self.beta * self.p
+        return _power_exponents(self.alpha, self.beta, self.p)[1]
 
     @property
     def gap(self) -> float:
@@ -812,6 +813,24 @@ def _cheb_rule(deg: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), fit
 
 
+def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``numpy.polynomial.chebyshev.chebval(x, c)`` for a 1-d c of length
+    >= 2: the same Clenshaw recurrence in the same order, so the same
+    values, updated in place instead of allocating arrays of the size of
+    x for every coefficient."""
+    x2 = 2.0 * x
+    c0, c1 = np.full(x.shape, c[-2]), np.full(x.shape, c[-1])
+    spare = np.empty(x.shape)
+    for ck in c[-3::-1].tolist():
+        np.subtract(ck, c1, out=spare)
+        c1 *= x2
+        c1 += c0
+        c0, spare = spare, c0
+    c1 *= x
+    c1 += c0
+    return c1
+
+
 class _FractionalProfile:
     """The iterates of a fractional kernel power at y = 1, in the ratio
     r = x / y of the gap to the distance from the left endpoint.
@@ -820,15 +839,20 @@ class _FractionalProfile:
     so one profile built up to the largest ratio ``r_max`` serves every
     column of a table and every term of a series.  It factors
     ``F_n(r) = r**(alpha_p n - 1) * psi_n(r)``, which leaves psi_n analytic
-    up to r = 0 (the factored power is the exact small-gap exponent),
-    tabulates psi_n as a Chebyshev interpolant in log r over
-    ``[log r_max - WIDTH, log r_max]`` and advances one layer at a time by
+    up to r = 0 (the factored power is the exact small-gap exponent), and
+    computes one layer from the last by
 
         psi_{n+1}(r) = integral over [0, 1] of (1 - lam)**(alpha_p - 1)
                        * lam**(alpha_p n - 1) * (1 + lam r)**(-beta_p)
                        * psi_n(lam r) d lam,
 
-    with a Gauss-Jacobi rule whose weight absorbs both endpoint powers.
+    with a Gauss-Jacobi rule whose weight absorbs both endpoint powers
+    (``_step``).  The step reads psi_n from its Chebyshev interpolant in
+    log r over ``[log r_max - WIDTH, log r_max]``; psi_1 = 1.  A layer is
+    read where it is used: from its interpolant once built, else by the
+    step itself at the ratios asked for, when they are fewer than the
+    Chebyshev points.  So an interpolant is built (``advance``) only for
+    a layer a later layer steps from, or one read at that many ratios.
     Only needed for beta > 0; beta = 0 has closed forms.
     """
 
@@ -845,37 +869,55 @@ class _FractionalProfile:
         xc, self._fit = _cheb_rule(deg)
         self._rs = np.exp(0.5 * ((self.u_hi + self.u_lo)
                                  + (self.u_hi - self.u_lo) * xc))
-        self._coefs: list = [None, np.array([1.0])]
+        # psi_1 = 1, padded to the two coefficients _chebval reads
+        self._coefs: list = [None, np.array([1.0, 0.0])]
 
     @property
     def n_layers(self) -> int:
+        """Number of layers with a built interpolant."""
         return len(self._coefs) - 1
 
     def _psi_at(self, n: int, r: np.ndarray) -> np.ndarray:
         # psi tends to a constant at the left end, so the clamp is benign
         u = np.clip(np.log(np.maximum(r, 1e-300)), self.u_lo, self.u_hi)
         unit = (2.0 * u - (self.u_lo + self.u_hi)) / (self.u_hi - self.u_lo)
-        return _cheb.chebval(unit, self._coefs[n])
+        return _chebval(unit, self._coefs[n])
+
+    def _step(self, n: int, r: np.ndarray) -> np.ndarray:
+        """psi_{n+1} at ratios r, by the quadrature on layer n's
+        interpolant."""
+        ap, bp = self.params.alpha_p, self.params.beta_p
+        lam, w = _jacobi_rule(self.jacobi_nodes, ap - 1.0, ap * n - 1.0)
+        z = lam[:, None] * r[None, :]
+        return w @ ((1.0 + z) ** (-bp) * self._psi_at(n, z))
 
     def advance(self) -> None:
-        """Add the next layer."""
-        ap, bp = self.params.alpha_p, self.params.beta_p
-        n = self.n_layers
-        lam, w = _jacobi_rule(self.jacobi_nodes, ap - 1.0, ap * n - 1.0)
-        z = lam[:, None] * self._rs[None, :]
-        psi_next = w @ ((1.0 + z) ** (-bp) * self._psi_at(n, z))
-        self._coefs.append(self._fit @ psi_next)
+        """Build the interpolant of the next layer."""
+        self._coefs.append(self._fit @ self._step(self.n_layers, self._rs))
+
+    def psi(self, n: int, r: np.ndarray) -> np.ndarray:
+        """psi_n at distinct ratios r (1-d, ``r <= r_max``)."""
+        if n > self.n_layers and r.size < self._rs.size:
+            while self.n_layers < n - 1:
+                self.advance()
+            return self._step(n - 1, r)
+        while self.n_layers < n:
+            self.advance()
+        return self._psi_at(n, r)
+
+    def scale(self, n: int, x, y):
+        """The factor ``x**(alpha_p n - 1) * y**(-beta_p n)`` of f_n
+        (``f_n = scale * psi_n(x / y)``)."""
+        return (x ** (self.params.alpha_p * n - 1.0)
+                * y ** (-self.params.beta_p * n))
 
     def f(self, n: int, x, y) -> np.ndarray:
         """The n-th iterate at gaps x > 0 and distances y > 0
         (vectorised, ``x / y <= r_max``)."""
-        while self.n_layers < n:
-            self.advance()
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(y, dtype=float))
-        tau = self.params.alpha_p * n - 1.0
-        return (x**tau * y ** (-self.params.beta_p * n)
-                * self._psi_at(n, x / y))
+        ratios, inv = np.unique(x / y, return_inverse=True)
+        return self.scale(n, x, y) * self.psi(n, ratios)[inv].reshape(x.shape)
 
 
 def _gap_limit(params: FractionalResolventParams, n: int, y: float) -> float:
@@ -923,14 +965,16 @@ def _gap_tables(params: FractionalResolventParams, z: np.ndarray, z0: float,
     if ii.size == 0:
         return layers, 0.0
     xs, ys = z[ii] - z[jj], y[jj]
-    r_max = float(np.max(xs / ys))
-    lo, hi = (_FractionalProfile(params, r_max, deg, nodes)
+    # the distinct ratios, read by both rules in every layer
+    ratios, inv = np.unique(xs / ys, return_inverse=True)
+    lo, hi = (_FractionalProfile(params, float(ratios[-1]), deg, nodes)
               for deg, nodes in _TABLE_RULES)
     err = 0.0
     for n in range(1, n_max + 1):
-        vals = hi.f(n, xs, ys)
+        scale = hi.scale(n, xs, ys)
+        vals = scale * hi.psi(n, ratios)[inv]
         layers[n - 1, ii, jj] = vals
-        diff = np.abs(vals - lo.f(n, xs, ys))
+        diff = np.abs(vals - scale * lo.psi(n, ratios)[inv])
         finite = np.isfinite(diff)
         if np.any(finite):
             err = max(err, float(np.max(diff[finite])))
@@ -1012,7 +1056,8 @@ def fractional_f(params: FractionalResolventParams, n: int,
 
     otherwise the defining recursion is integrated layer by layer with
     singularity-absorbing quadrature, on the ratio profile of
-    ``_FractionalProfile`` up to ``x / y``.
+    ``_FractionalProfile`` up to ``x / y``: layers 2 to n - 1 are
+    interpolants, and layer n is one quadrature step at ``x / y``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -1625,7 +1670,7 @@ class _FractionalPlan(_GridPlan):
         if params.beta_p > 0 and y <= 0:
             # the first iterate is infinite on the pole, and so the resolvent
             return SeriesValue(math.inf, 0.0, 1, True)
-        # beta > 0: one profile, advanced one layer per term
+        # beta > 0: one profile; term n builds layer n - 1 and steps from it
         f = (_FractionalProfile(params, x / y).f if params.beta_p > 0
              else partial(fractional_f, params))
         log_maj = lambda k: params.log_layer_bound(  # noqa: E731

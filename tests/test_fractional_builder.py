@@ -293,16 +293,17 @@ def test_identity_transport_is_the_fractional_table(alpha, beta):
 
 
 @pytest.mark.parametrize("alpha", (0.3, 0.1))
-def test_identity_transport_can_differ_by_rounding_below_one_half(alpha):
-    # the fractional table uses alpha_p = (alpha - 1) + 1, which rounds
-    # away from alpha here; the transported one uses alpha, as it did
+def test_identity_transport_matches_fractional_table_below_one_half(alpha):
+    # (alpha - 1) + 1 rounds away from alpha here; alpha_p is alpha itself
+    # at p = 1, so both tables use the same exponent
     kern = transported((alpha,), (0.0,), phi=lambda x: x,
                        phi_dot=lambda x: np.ones_like(x))
     a = iterated_kernels(kern, Lebesgue(), 1.0, N_MAX, grid(5))
     b = iterated_kernels(FractionalKernel(alpha, 0.0), Lebesgue(), 1.0, N_MAX,
                          grid(5))
-    assert FractionalResolventParams(alpha, 0.0, 1.0).alpha_p != alpha
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-13)
+    assert (alpha - 1.0) + 1.0 != alpha
+    assert FractionalResolventParams(alpha, 0.0, 1.0).alpha_p == alpha
+    same_table(a, b.values, b.err_est, b.status)
 
 
 @pytest.mark.parametrize("alphas, betas", [
