@@ -6,7 +6,11 @@ resolvent and bound modules dispatch on (separable, fractional, sum,
 product, void, multiplicative).  Scalar evaluation returns an ``ExtReal``
 and enforces the preorder; the vectorised ``eval_grid`` works on raw
 float arrays (``inf`` allowed at singular points) and trusts the caller
-to have masked the triangular region already.
+to pass ordered pairs only.  Every ordered path of the resolvent, bound
+and certificate modules does: tables and grid operators gather the pairs
+s <= t of their nodes before evaluating, so a kernel is never evaluated
+above the diagonal (only void-ordered kernels, whose order relates every
+pair, are evaluated on the full square).
 
 Kernels are immutable after construction and evaluation is pure.
 """

@@ -481,6 +481,38 @@ def _kernel_power(kernel: Kernel, p: float, t, s) -> np.ndarray:
         return vals**p
 
 
+def _lower_kernel_power(kernel: Kernel, p: float, nodes: np.ndarray,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """k(t_i, t_j)**p for j <= i, zero above the diagonal: the kernel is
+    evaluated at the ordered pairs only, gathered in one boolean pass
+    through ``_tril_mask`` and scattered into ``out`` (zero above the
+    diagonal) when given, else into fresh zeros."""
+    m = nodes.size
+    mask, square = _tril_mask(m), (m, m)
+    if out is None:
+        out = np.zeros(square)
+    out[mask] = _kernel_power(kernel, p,
+                              np.broadcast_to(nodes[:, None], square)[mask],
+                              np.broadcast_to(nodes, square)[mask])
+    return out
+
+
+def _ext_row_sums(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Sums of ``w * f`` along the last axis with 0 * inf = 0, as in
+    ``_ext_matmul``: a sum is +inf where a term pairs two positive factors,
+    one of them infinite, and other non-finite factors count as 0.  One
+    pairwise reduction per row, which sums a row of a block exactly as it
+    sums the row alone; a sum past the float range is inf."""
+    fin_w, fin_f = np.isfinite(w), np.isfinite(f)
+    with np.errstate(over="ignore"):
+        if fin_w.all() and fin_f.all():
+            return np.multiply(w, f).sum(axis=-1)
+        sums = np.multiply(np.where(fin_w, w, 0.0),
+                           np.where(fin_f, f, 0.0)).sum(axis=-1)
+    hit = (w > 0) & (f > 0) & ~(fin_w & fin_f)
+    return np.where(hit.any(axis=-1), np.inf, sums)
+
+
 def _row_integrals(kernel: Kernel, measure, p: float, lo: float,
                    ts: np.ndarray, level: int) -> np.ndarray:
     """Integral of k(t, u)**p over [lo, t] for each t > lo of ``ts``, on
@@ -488,9 +520,8 @@ def _row_integrals(kernel: Kernel, measure, p: float, lo: float,
 
     The value of ``GridOperator.on_interval(kernel, measure, p, lo, t,
     level)`` and its ``row_integral(kernel_row())`` for every t at once:
-    one block of grid rows, one kernel evaluation, one dot product per
-    row.  Each row is copied out of the block for its dot product: BLAS
-    may sum a row that starts off the usual alignment in another order.
+    one block of grid rows, one kernel evaluation and one row-wise
+    reduction (``_ext_row_sums``), the one ``row_integral`` makes.
     """
     ts = np.asarray(ts, dtype=float)
     nodes = np.linspace(lo, ts, 2**level + 1, axis=-1)
@@ -498,8 +529,7 @@ def _row_integrals(kernel: Kernel, measure, p: float, lo: float,
                       nodes)
     rows = range_weights_matrix(nodes.shape[1])[-1] \
         * _grid_density(measure, nodes)
-    return np.array([float(_ext_matmul(r.copy(), fr.copy()))
-                     for r, fr in zip(rows, f)])
+    return _ext_row_sums(rows, f)
 
 
 class GridOperator:
@@ -559,11 +589,14 @@ class GridOperator:
         return cls(kernel, p, nodes, masses)
 
     def _triangle(self) -> np.ndarray:
-        m = self.nodes.size
-        vals = _kernel_power(self.kernel, self.p,
-                             np.broadcast_to(self.nodes[:, None], (m, m)),
-                             np.broadcast_to(self.nodes[None, :], (m, m)))
-        return np.where(_tril_mask(m), vals, 0.0) if self.ordered else vals
+        """k(t_i, t_l)**p: on ordered grids at l <= i only (zero above the
+        diagonal), on the void order at every pair."""
+        if self.ordered:
+            return _lower_kernel_power(self.kernel, self.p, self.nodes)
+        square = (self.nodes.size,) * 2
+        return _kernel_power(self.kernel, self.p,
+                             np.broadcast_to(self.nodes[:, None], square),
+                             np.broadcast_to(self.nodes, square))
 
     @cached_property
     def kp(self) -> np.ndarray:
@@ -622,8 +655,8 @@ class GridOperator:
         return self.weights if self.W is None else self.W[-1] * self.weights
 
     def row_integral(self, f: np.ndarray) -> float:
-        """Integral of f over the whole range."""
-        return float(_ext_matmul(self.row_weights, f))
+        """Integral of f over the whole range (``_ext_row_sums``)."""
+        return float(_ext_row_sums(self.row_weights, f))
 
     def suffix_integrals(self, f: np.ndarray) -> np.ndarray:
         """Q[j] = integral of f over [t_j, t] on an interval grid.
@@ -1143,26 +1176,30 @@ def _grid_table(plan, grid, n_max, estimate_error):
 
 
 def _rank_one_table(plan, grid, n_max, estimate_error):
-    """``k**p Phi**(n-1) / (n-1)!`` on the lower triangle, ``Phi[i, j] = F_i
-    - F_j`` from the suffix integrals F of d**p one level finer; ``err_est``
+    """``k**p Phi**(n-1) / (n-1)!`` on the lower triangle, ``Phi[i, j] = F_j
+    - F_i`` from the suffix integrals F of d**p one level finer; ``err_est``
     is the largest difference from the layers of F on the grid itself, plus
     rounding.  The recursion builds tables with non-finite entries."""
     nodes, m = grid.nodes, grid.nodes.size
-    ii, jj = np.tril_indices(m)
     values = np.zeros((n_max, m, m))
-    values[0][ii, jj] = _kernel_power(plan.kernel, plan.p, nodes[ii],
-                                      nodes[jj])
-    layer_c, diff, err = values[0].copy(), np.empty((m, m)), 0.0
+    _lower_kernel_power(plan.kernel, plan.p, nodes, out=values[0])
+    layer_c, err = values[0].copy(), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        # a difference of two suffix rules can fall below 0
-        phi, phi_c = (np.tril(Q[None, :] - Q[:, None]).clip(0.0) for Q in (
+        phi, phi_c = (np.subtract(F, F[:, None]) for F in (
             plan.gap_profile(grid.refine().nodes)[::2],
             plan.gap_profile(nodes)))
+        # a difference of two suffix rules can fall below 0; above the
+        # diagonal every layer stays 0, layer 1 times a finite Phi
+        for gap in (phi, phi_c):
+            gap.clip(0.0, out=gap)
         for n in range(1, n_max):
             np.multiply(values[n - 1], phi, out=values[n])
             values[n] /= n
             layer_c *= phi_c
             layer_c /= n
+            # the comparison goes into the next layer's slot, or into Phi
+            # after the last layer: no m x m temporary per layer
+            diff = values[n + 1] if n + 1 < n_max else phi
             np.subtract(values[n], layer_c, out=diff)
             # plus the rounding of n sums of m terms
             err = max(err, float(np.abs(diff, out=diff).max())
@@ -1273,12 +1310,28 @@ def _factorial_log(q: float, p: float):
 
 def _factorial_integrals(w: np.ndarray, Q: np.ndarray) -> Iterator[float]:
     """The sums of ``w Q**n / n!``, n = 0, 1, ...: ``h <- h Q / n``, one
-    O(m) product per term, with ``0 * inf = 0``."""
-    h = w
+    O(m) product per term, with ``0 * inf = 0``.
+
+    With w and Q finite, ``|h Q| <= max|w| q e**q`` (q = max|Q|: q**n / n!
+    <= e**q), so where m max|w| max(q, 1) e**q is in the float range no
+    sum or product overflows or makes a NaN, and the terms need neither
+    an ``errstate`` nor a NaN scan.
+    """
+    h = np.array(w, dtype=float)
+    plain = bool(np.isfinite(h).all() and np.isfinite(Q).all())
+    if plain:
+        q = float(np.abs(Q).max(initial=0.0))
+        scale = float(np.abs(h).max(initial=0.0)) * max(q, 1.0) * h.size
+        plain = scale == 0.0 or math.log(scale) + q < _LOG_MAX - 1.0
     for n in itertools.count(1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            total, h = float(h.sum()), np.multiply(h, Q)
-        h[np.isnan(h)] = 0.0
+        if plain:
+            total = float(h.sum())
+            np.multiply(h, Q, out=h)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(h.sum())
+                np.multiply(h, Q, out=h)
+            h[np.isnan(h)] = 0.0
         h /= n
         yield total
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +236,11 @@ def test_layer_step_matches_fresh_buffer_step(kind, m):
 def test_layers_and_compose_match_fresh_buffer_steps(kind, m):
     A, R = _step_inputs(kind, m, 3 * m + len(kind))
     nodes = np.linspace(0.0, 1.0, m)
-    op = GridOperator.on_nodes(CallableKernel(lambda T, S: A), WEIGHTED, 1.0,
-                               nodes)
+    # the kernel A[i, l] at (t_i, t_l), looked up pair by pair: grid
+    # operators evaluate kernels at the ordered pairs only
+    at = partial(np.searchsorted, nodes)
+    op = GridOperator.on_nodes(CallableKernel(lambda T, S: A[at(T), at(S)]),
+                               WEIGHTED, 1.0, nodes)
     ref = [op.kp]
     for _ in range(3):
         ref.append(fresh_buffer_step(_LayerStep(op.kp, op.W, op.weights),
