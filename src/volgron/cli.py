@@ -163,7 +163,10 @@ def _cmd_resolvent(args) -> int:
             raise _CliError("resolvent tables need an interval, box, or "
                             "discrete configuration")
         grid = QuadratureGrid.for_box(cfg.domain, level)
-    table = iterated_kernels(cfg.kernel, cfg.measure, p, n, grid)
+    try:
+        table = iterated_kernels(cfg.kernel, cfg.measure, p, n, grid)
+    except TypeError as exc:  # a kernel family off its measure
+        raise _CliError(f"bad configuration: {exc}")
     if args.output == "csv":
         _write(table.iter_csv(), args.out)
     else:

@@ -154,9 +154,11 @@ def lipschitz_profile(lambda_kernel: Kernel, measure: MeasureSpec, p: float,
     """The Lipschitz constant (integral of lambda**p over the lower
     set)**(1/p) at t.
 
-    Fractional kernels on Lebesgue measure use the beta-function closed
-    form, void kernels the exact atom sum; everything else is grid
-    quadrature.  A divergent integral returns infinity.
+    The fractional family on Lebesgue measure uses the beta-function
+    closed form over [domain.lo, t] (with a pole: inf for lo < t0, the
+    value over [t0, t] as an upper bound for lo > t0), void kernels the
+    exact atom sum; everything else is grid quadrature.  A divergent
+    integral returns infinity.
     """
     return _plan(lambda_kernel, measure, p).lipschitz(t, domain, level)
 

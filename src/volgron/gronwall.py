@@ -160,9 +160,10 @@ def check_vanishing(kernel: Kernel, measure: MeasureSpec, p: float,
     fallback is Unknown, never a false positive.  Criteria:
 
     * void order: mass below one and a finite weighted integral of u0;
-    * fractional kernels on Lebesgue measure: finiteness of the
+    * the fractional family on Lebesgue measure: finiteness of the
       pole-weighted integral of ``u0**p`` (for beta = 0 plain local
-      p-integrability);
+      p-integrability); for a transported kernel the weight is
+      ``phi'(s) (phi(s) - phi(t0))**(-beta)``;
     * monotone interval kernels: a finite gap integral together with
       either a grid-bounded u0 and finite series function
       (``strategy="bounded_u0"``) or a finite integral of ``k**p u0**p``
@@ -182,9 +183,10 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
     void case the series is geometric and summed in closed form; on
     intervals and atoms the terms are quadrature values with a factorial
     tail (monotone kernels, atomless measures) or the ratio tail.
-    Fractional kernels with beta = 0 on Lebesgue measure use closed-form
-    layers: for a constant v the bound is ``v (1 + I(t))`` with the series
-    function I, for a function v each term is one singular quadrature.  The
+    The fractional family with beta = 0 on Lebesgue measure uses
+    closed-form layers: for a constant v the bound is ``v (1 + I(t))``
+    with the series function I; for a function v and one untransported
+    part each term is one singular quadrature, else the grid.  The
     caller checks the vanishing condition; this only evaluates the bound.
     """
     return _plan(kernel, measure, p).bound(v, t, domain, tol, level, n_cap)

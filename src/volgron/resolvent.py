@@ -9,13 +9,15 @@ The resolvent sequence of a kernel k against a measure mu starts at
 Every grid recursion runs through one ``GridOperator``: the nodes, the
 per-node weights (density times panel width on intervals, masses on
 atoms) and the interval range weights, which are exact for cubics.
-Discrete and void-ordered settings are exact sums.  Fractional kernels
-and their sums transported by an increasing phi bypass grid quadrature:
-one builder tabulates both (``_fractional_sum_layers`` on the nodes or on
-phi(nodes)), by multinomial gamma-quotient closed forms when every pole
-exponent ``beta`` vanishes, otherwise by a one-dimensional recursion on
-one homogeneous ratio profile per (alpha, beta, p); every diagonal is the
-small-gap limit.
+Discrete and void-ordered settings are exact sums.  The fractional
+family bypasses grid quadrature: fractional kernels, their sums
+transported by an increasing phi, and sums of beta = 0 fractional kernels
+with one t0.  Its p-th powers are phi'(s) times a sum of fractional parts
+in z = phi(t), so one builder tabulates them all
+(``_fractional_sum_layers`` on phi(nodes)), by multinomial gamma-quotient
+closed forms when every pole exponent ``beta`` vanishes, otherwise by a
+one-dimensional recursion on one homogeneous ratio profile per (alpha,
+beta, p); every diagonal is the small-gap limit.
 
 One interval layer is a product of two lower-triangular m x m matrices,
 about a third of the multiply-adds of a full m x m product
@@ -34,17 +36,19 @@ term, sum component or residual is ever NaN.
 
 Every entry point here, in ``gronwall`` and in ``fixpoint`` asks one
 dispatch, ``_plan(kernel, measure, p)``, for the path of its family: the
-void order on atoms (geometric closed forms), fractional kernels on
-Lebesgue measure (gamma-quotient closed forms and the ratio profile),
-rank-one kernels (``k(t, u) k(u, s) = k(t, s) d(u)``: separable, constant,
-multiplicative, sums of separable kernels with one ``k0``) on ``Lebesgue``
-or ``WeightedLebesgue`` (``R_n = k**p Phi**(n-1) / (n-1)!``, ``R = k**p
+void order on atoms (geometric closed forms), the fractional family on
+Lebesgue measure (``_FractionalPlan``: gamma-quotient and multinomial
+closed forms and the ratio profile; transports at p != 1 and several
+parts with a pole take the grid, without tables), rank-one kernels
+(``k(t, u) k(u, s) = k(t, s) d(u)``: separable, constant, multiplicative,
+sums of separable kernels with one ``k0``) on ``Lebesgue`` or
+``WeightedLebesgue`` (``R_n = k**p Phi**(n-1) / (n-1)!``, ``R = k**p
 exp(Phi)``, Phi the integral of d**p) or the grid (``GridOperator`` on
 atoms or dyadic intervals).  ``_root_sum`` is the one loop that sums a
 resolvent series, with a certified truncation tail.  Where a majorant is
-recognised (factorial for monotone kernels on atomless measures,
-Mittag-Leffler for fractional kernels) the tail is a log-concave series
-given by its log-terms (``_factorial_log``,
+recognised (factorial for monotone and rank-one kernels on atomless
+measures, Mittag-Leffler for the fractional family) the tail is a
+log-concave series given by its log-terms (``_factorial_log``,
 ``FractionalResolventParams.log_layer_bound`` and ``log_series_bound``)
 and summed by ``specfun._log_series``, which bounds the remainder by
 twice the next term once the term ratio is below 1/2, and returns
@@ -63,7 +67,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +78,7 @@ from .kernels import (
     FractionalKernel,
     Kernel,
     ProductKernel,
+    SumKernel,
     TransformedFractionalKernel,
     VoidKernel,
     _as_fn,
@@ -1024,7 +1029,54 @@ def _count_vectors(n: int, N: int):
             yield (head,) + rest
 
 
-def _fractional_sum_layers(alphas: Sequence[float],
+@lru_cache(maxsize=4096)
+def _multinomial_terms(alphas: Tuple[float, ...], n: int
+                       ) -> Tuple[Tuple[float, float], ...]:
+    """Layer n of the sum of the kernels x**(alpha_j - 1), term by term:
+    over the count vectors c of ``_count_vectors(n, N)``, the pairs of the
+    exponent ``A = sum_j c_j alpha_j`` and the log coefficient of
+
+        n! / prod c_j! * prod gamma(alpha_j)**c_j / gamma(A) * x**(A - 1)
+
+    at gap x.  One part gives the gamma-quotient closed form."""
+    a = np.asarray(alphas, dtype=float)
+    ln_g = np.array([ln_gamma(x) for x in alphas])
+    ln_fact = [ln_gamma(c + 1.0) for c in range(n + 1)]
+    terms = []
+    for counts in _count_vectors(n, len(alphas)):
+        iv = np.asarray(counts, dtype=float)
+        A = float(iv @ a)
+        terms.append((A, ln_fact[n] - sum(ln_fact[c] for c in counts)
+                      + float(iv @ ln_g) - ln_gamma(A)))
+    return tuple(terms)
+
+
+# the multinomial components a table or a series of several parts may
+# enumerate: layers 1 to n of N parts have comb(n + N, N) - 1
+_COMPONENT_BUDGET = 100_000
+
+
+def _layers_in_budget(N: int, n_max: int) -> int:
+    """The number of layers, at most n_max, whose multinomial components
+    fit ``_COMPONENT_BUDGET`` together."""
+    while math.comb(n_max + N, N) - 1 > _COMPONENT_BUDGET:
+        n_max -= 1
+    return n_max
+
+
+def _multinomial_value(alphas: Tuple[float, ...], n: int, x: float) -> float:
+    """Layer n of the sum of the kernels x**(alpha_j - 1) at gap x >= 0.
+    At x = 0 it is the small-gap limit, the table's diagonal: inf if some
+    A < 1, else the sum of the coefficients with A = 1, else 0."""
+    terms = _multinomial_terms(alphas, n)
+    if x == 0.0:
+        return math.inf if min(A for A, _ in terms) < 1.0 else \
+            sum(math.exp(c) for A, c in terms if A == 1.0)
+    lx = math.log(x)
+    return sum(math.exp(c + (A - 1.0) * lx) for A, c in terms)
+
+
+def _fractional_sum_layers(alphas: Tuple[float, ...],
                            pole: Optional[FractionalResolventParams],
                            z: np.ndarray, z0: float, n_max: int
                            ) -> Tuple[np.ndarray, float, str]:
@@ -1033,47 +1085,27 @@ def _fractional_sum_layers(alphas: Sequence[float],
     pole exponent (``_gap_tables``, certified), their error estimate and
     status.
 
-    Without a pole, layer n is the multinomial sum over the count vectors
-    c of ``_count_vectors(n, N)``, with ``A = sum_j c_j alpha_j``,
-
-        n! / prod c_j! * prod gamma(alpha_j)**c_j / gamma(A) * x**(A - 1)
-
-    at gap x, exact; one part gives the gamma-quotient closed form.  The
-    diagonal is its small-gap limit: inf if some A < 1, else the sum of
-    the coefficients with A = 1, else 0.
+    Without a pole, layer n sums the terms of ``_multinomial_terms``,
+    exact.  The diagonal is their small-gap limit (``_multinomial_value``
+    at x = 0).
     """
     if pole is not None:
-        if len(alphas) != 1:
-            raise NotImplementedError(
-                "several transformed parts with poles exceed the supported "
-                "setting; decompose with sum_decomposition instead"
-            )
         return _gap_tables(pole, z, z0, n_max) + ("certified",)
     N, m = len(alphas), z.size
-    n_counts = sum(math.comb(n + N - 1, N - 1) for n in range(1, n_max + 1))
-    if n_counts > 100_000:
+    n_counts = math.comb(n_max + N, N) - 1
+    if n_counts > _COMPONENT_BUDGET:
         raise ComponentBudgetError(
             f"{n_counts} multinomial components exceed budget 100000"
         )
-    alphas = np.asarray(alphas, dtype=float)
-    ln_g = np.array([ln_gamma(a) for a in alphas])
     layers = np.zeros((n_max, m, m))
     strict = ~_tril_mask(m).T
     lx = np.log((z[:, None] - z[None, :])[strict])
     for n in range(1, n_max + 1):
-        ln_fact_n = ln_gamma(n + 1.0)
-        acc, a_min, at_one = 0.0, math.inf, 0.0
-        for counts in _count_vectors(n, N):
-            iv = np.asarray(counts, dtype=float)
-            A = float(iv @ alphas)
-            log_coef = (ln_fact_n - sum(ln_gamma(c + 1.0) for c in counts)
-                        + float(iv @ ln_g) - ln_gamma(A))
+        acc = 0.0
+        for A, log_coef in _multinomial_terms(alphas, n):
             acc = acc + np.exp(log_coef + (A - 1.0) * lx)
-            a_min = min(a_min, A)
-            if A == 1.0:
-                at_one += math.exp(log_coef)
         layers[n - 1][strict] = acc
-        np.fill_diagonal(layers[n - 1], math.inf if a_min < 1.0 else at_one)
+        np.fill_diagonal(layers[n - 1], _multinomial_value(alphas, n, 0.0))
     return layers, 0.0, "exact"
 
 
@@ -1212,25 +1244,17 @@ def _rank_one_table(plan, grid, n_max, estimate_error):
 
 
 def _fractional_table(plan, grid, n_max, estimate_error):
-    prm = plan.params  # the kernel power is fractional with alpha_p, beta_p
-    return _fractional_sum_layers((prm.alpha_p,), prm if prm.beta_p else None,
-                                  grid.nodes, plan.kernel.t0, n_max)
-
-
-def _transformed_table(plan, grid, n_max, estimate_error):
-    """The fractional table of the parts on phi(nodes), scaled by
-    ``phi_dot`` of the inner argument; the transport holds for p = 1."""
-    kernel, nodes = plan.kernel, grid.nodes
-    if plan.p != 1.0:
+    """The table of the fractional parts on z = phi(nodes), scaled by
+    ``phi_dot`` of the inner argument (``_FractionalPlan``)."""
+    if not isinstance(plan, _FractionalPlan):  # left on the grid by _plan
         raise NotImplementedError(
-            "transformed fractional tables hold in the p = 1 setting"
-        )
-    pole = FractionalResolventParams(kernel.alphas[0], kernel.betas[0],
-                                     1.0) if any(kernel.betas) else None
+            "transported fractional tables hold at p = 1, with a pole in "
+            "one part at most; decompose with sum_decomposition instead")
     layers, err, status = _fractional_sum_layers(
-        kernel.alphas, pole, np.asarray(kernel.phi(nodes), dtype=float),
-        float(kernel.phi(np.asarray(kernel.t0))), n_max)
-    dot = np.asarray(kernel.phi_dot(nodes), dtype=float)
+        plan.alphas, plan.pole, plan.z(grid.nodes), plan.z0, n_max)
+    if plan.phi is None:
+        return layers, err, status
+    dot = plan.dot(grid.nodes)
     with np.errstate(invalid="ignore", over="ignore"):
         layers *= dot
     # inf * 0 at a vanishing-derivative node follows the measure-theoretic
@@ -1334,6 +1358,16 @@ def _factorial_integrals(w: np.ndarray, Q: np.ndarray) -> Iterator[float]:
             h[np.isnan(h)] = 0.0
         h /= n
         yield total
+
+
+def _factorial_tail(p: float, q: float, scale: float, first: int):
+    """Where term n is at most ``scale * (q**j / j!)**(1/p)``, j = n - 1 +
+    first: the bound of the terms after the n-th; None for an infinite
+    q."""
+    if not math.isfinite(q):
+        return None
+    log_fact = _factorial_log(q, p)
+    return lambda n: scale * _tail_sum(log_fact, n + first)
 
 
 def _ratio_tail(columns: Iterator[np.ndarray], p: float, certify: bool):
@@ -1524,19 +1558,12 @@ class _GridPlan:
         q = float(op.column(np.ones(op.nodes.size))[-1])
         return self._tailed(op, op.powers(op.column(vp)), self.p, q, sup_v, 1)
 
-    def _factorial_tail(self, p, q, scale, first):
-        """Where the factorial majorant holds (``_factorial``, finite gap
-        integral q) and term n is at most ``scale * (q**j / j!)**(1/p)``,
-        j = n - 1 + first: the bound of the terms after the n-th."""
-        if not (self._factorial and math.isfinite(q)):
-            return None
-        log_fact = _factorial_log(q, p)
-        return lambda n: scale * _tail_sum(log_fact, n + first)
-
     def _tailed(self, op: GridOperator, columns, p, q, scale, first):
         """The last entries of ``op``'s ``columns`` and the one tail of
-        their p-th roots: factorial where it holds, else the ratio tail."""
-        tail = self._factorial_tail(p, q, scale, first)
+        their p-th roots: factorial where it holds (``_factorial``, finite
+        gap integral q), else the ratio tail."""
+        tail = _factorial_tail(p, q, scale, first) if self._factorial \
+            else None
         if tail is None:
             return _ratio_tail(columns, p, op._b_certifiable)
         return (float(g[-1]) for g in columns), tail
@@ -1705,29 +1732,91 @@ class _VoidPlan(_GridPlan):
 
 
 class _FractionalPlan(_GridPlan):
-    """A fractional kernel on Lebesgue measure: gamma-quotient closed
-    forms (beta = 0) or the ratio profile (beta > 0) with Mittag-Leffler
-    tails.  Residuals and beta > 0 resolvent bounds take the grid path.
+    """A kernel whose p-th power is ``phi'(s)`` times a sum of fractional
+    parts ``x**(a_j - 1) y**(-b_j)`` at the gap ``x = z(t) - z(s)`` and the
+    offset ``y = z(s) - z(t0)`` of z = phi(t), on Lebesgue measure
+    (``_fractional_parts``).  An order isomorphism phi gives ``R_n(t, s) =
+    phi'(s) R_n^frac(x, y)``, and makes every integral over s the
+    fractional one over z.  One part takes gamma-quotient closed forms
+    (beta = 0) or the ratio profile, several parts without poles their
+    multinomial terms; the Mittag-Leffler tails are the least part's,
+    scaled by ``C**n`` (``_ln_spread``).  Residuals, beta > 0 resolvent
+    bounds and a function v in the bound of a transported or multi-part
+    kernel take the grid path.
     """
 
-    def __init__(self, kernel: FractionalKernel, measure: Lebesgue, p):
-        kernel.require_p(p)
+    def __init__(self, kernel: Kernel, measure: Lebesgue, p, alphas, betas,
+                 t0, phi, phi_dot):
         super().__init__(kernel, measure, p, table_layers=_fractional_table)
-        self.params = FractionalResolventParams(kernel.alpha, kernel.beta, p)
+        least = int(np.argmin(alphas))
+        # the least part: the kernel power itself for one part
+        self.params = FractionalResolventParams(alphas[least], betas[least],
+                                                p)
+        self.alphas = tuple(_power_exponents(a, b, p)[0]
+                            for a, b in zip(alphas, betas))
+        self.pole = self.params if self.params.beta_p > 0 else None
+        self.t0, self.phi, self.phi_dot = t0, phi, phi_dot
+        self.z0 = float(self.z(t0))
+
+    def z(self, u):
+        """The coordinate z = phi(u), u itself without a transport."""
+        return u if self.phi is None else \
+            np.asarray(self.phi(np.asarray(u, dtype=float)), dtype=float)
+
+    def dot(self, u):
+        """phi'(u), 1 without a transport."""
+        return 1.0 if self.phi_dot is None else \
+            np.asarray(self.phi_dot(np.asarray(u, dtype=float)), dtype=float)
+
+    def _gaps(self, t, s) -> Tuple[float, float]:
+        zs = float(self.z(s))
+        return float(self.z(t)) - zs, zs - self.z0
+
+    def _span(self, lo, t) -> float:
+        """The z-length X of the lower set [lo, t] (lo None: t0): z(t) -
+        z(lo) without a pole; with one, whose kernel is inf below t0, inf
+        for lo < t0 and from t0 for lo > t0 (then an upper bound)."""
+        zt = float(self.z(t))
+        if lo is None or self.pole is not None and lo >= self.t0:
+            return zt - self.z0
+        X = zt - float(self.z(lo))
+        return math.inf if self.pole is not None and X > 0 else X
+
+    def _ln_spread(self, x: float) -> float:
+        """log C, ``C = sum_j x**(a_j - a_min)``: on gaps up to x every part
+        is at most C times x**(a_min - 1), so by the monotonicity of the
+        resolvent in the kernel layer n is at most C**n times the least
+        part's.  0 for one part."""
+        a_min = self.params.alpha_p
+        return math.log(sum(x ** (a - a_min) for a in self.alphas))
+
+    def _f(self, n: int, x: float, y: float) -> float:
+        """R_n^frac at gap x and offset y."""
+        if len(self.alphas) == 1:
+            return fractional_f(self.params, n, x, y)
+        return _multinomial_value(self.alphas, n, x)
+
+    def _log_series_majorant(self, X: float):
+        """log-terms of the majorant of the p-th roots of the layers
+        integrated over a lower set of z-length X (beta = 0)."""
+        prm, ln_c = self.params, self._ln_spread(X) / self.p
+        return lambda k: prm.log_series_bound(k, X, 0.0) + k * ln_c
 
     def resolvent(self, t, s, tol, level, n_cap):
         params = self.params
-        x, y = float(t) - float(s), float(s) - self.kernel.t0
+        x, y = self._gaps(t, s)
         if x <= 0:
             raise ValueError("need s < t for fractional kernels")
-        if params.beta_p > 0 and y <= 0:
-            # the first iterate is infinite on the pole, and so the resolvent
+        d = float(self.dot(s))
+        if self.pole is not None and y <= 0 or math.isinf(d):
+            # the first iterate is infinite, and so the resolvent
             return SeriesValue(math.inf, 0.0, 1, True)
         # beta > 0: one profile; term n builds layer n - 1 and steps from it
-        f = (_FractionalProfile(params, x / y).f if params.beta_p > 0
-             else partial(fractional_f, params))
+        f = _FractionalProfile(params, x / y).f if self.pole is not None \
+            else self._f
+        ln_c = self._ln_spread(x)
         log_maj = lambda k: params.log_layer_bound(  # noqa: E731
-            k, x, y, params.ln_c_hat_max)
+            k, x, y, params.ln_c_hat_max) + k * ln_c
         above = 0
 
         def tail(n: int) -> float:
@@ -1738,22 +1827,39 @@ class _FractionalPlan(_GridPlan):
                 return math.inf
             sv = _log_series(log_maj, n + 1, math.inf, 100_000)  # _tail_sum
             last = n + sv.terms_used
-            if log_maj(last) > _LOG_MAX or math.exp(log_maj(last)) >= tol:
+            if log_maj(last) > _LOG_MAX or \
+                    d * math.exp(log_maj(last)) >= tol:
                 above = last
-            return sv.sum + sv.tail_bound
+            return d * (sv.sum + sv.tail_bound)
 
-        return _root_sum((float(f(n, x, y)) for n in itertools.count(1)),
-                         1.0, tail, tol, n_cap)
+        return _root_sum((d * float(f(n, x, y)) for n in itertools.count(1)),
+                         1.0, tail, tol,
+                         _layers_in_budget(len(self.alphas), n_cap))
 
     def iterate(self, n, t, s, level):
-        return fractional_f(self.params, n, t - s, s - self.kernel.t0)
+        d = float(self.dot(s))
+        return d * self._f(n, *self._gaps(t, s)) if d else 0.0
 
     def series_function(self, t, domain, tol, level, n_cap):
-        prm, X = self.params, float(t) - self.kernel.t0
+        X = self._span(domain.lo if isinstance(domain, Interval1D) else None,
+                       t)
         if X <= 0:
             raise ValueError("need t above the kernel origin")
-        if prm.beta_p >= 1.0:
+        return self._closed_series(X, tol, n_cap)
+
+    def _closed_series(self, X: float, tol, n_cap) -> SeriesValue:
+        """The series function over a lower set of z-length X."""
+        prm = self.params
+        if prm.beta_p >= 1.0 or math.isinf(X):
             return SeriesValue(math.inf, 0.0, 0, True)
+        if len(self.alphas) > 1:
+            # term n: coef X**A / A summed over the multinomial terms
+            lX, log_maj = math.log(X), self._log_series_majorant(X)
+            terms = (sum(math.exp(c + A * lX) / A
+                         for A, c in _multinomial_terms(self.alphas, n))
+                     for n in itertools.count(1))
+            return _root_sum(terms, 1.0, lambda n: _tail_sum(log_maj, n + 1),
+                             tol, _layers_in_budget(len(self.alphas), n_cap))
         # beta = 0: the closed-form terms are their own majorant; beta > 0:
         # the majorant summed as an upper envelope.  tol is absolute, so it
         # is scaled down by an upper bound of the sum.
@@ -1766,30 +1872,32 @@ class _FractionalPlan(_GridPlan):
         return SeriesValue(sv.sum + sv.tail_bound, 0.0, sv.terms_used, False)
 
     def _series(self, v, lo, t, tol, level, n_cap):
-        """beta = 0: a constant v times the series function; a function v
-        integrated against each closed-form layer by singular quadrature."""
-        prm, t0, p = self.params, self.kernel.t0, self.p
-        if prm.beta_p > 0:
+        """beta = 0: a constant v times the series function over [lo, t];
+        a function v integrated against each closed-form layer by singular
+        quadrature (one part, no transport)."""
+        prm, p = self.params, self.p
+        if self.pole is not None or callable(v) and (
+                self.phi is not None or len(self.alphas) > 1):
             return super()._series(v, lo, t, tol, level, n_cap)
-        X = t - t0
+        X = self._span(lo, t)
         if X <= 0:
             return SeriesValue(0.0, 0.0, 0, True)
         if not callable(v):
             c = float(v)
             if c == 0.0:
                 return SeriesValue(0.0, 0.0, 0, True)
-            sv = self.series_function(t, None, tol / c, level, n_cap)
+            sv = self._closed_series(X, tol / c, n_cap)
             return SeriesValue(c * sv.sum, c * sv.tail_bound, sv.terms_used,
                                sv.converged)
         from .quadrature import integrate_singular
 
         ap = prm.alpha_p
         vp = lambda s: np.asarray(v(s), dtype=float)**p  # noqa: E731
-        sup_v = float(np.max(np.asarray(v(np.linspace(t0, t, 257)),
+        sup_v = float(np.max(np.asarray(v(np.linspace(lo, t, 257)),
                                         dtype=float)))
-        log_ml = lambda k: prm.log_series_bound(k, X, 0.0)  # noqa: E731
+        log_ml = self._log_series_majorant(X)
         integrals = (math.exp(n * ln_gamma(ap) - ln_gamma(ap * n))
-                     * integrate_singular(vp, gamma=1.0, delta=ap * n, a=t0,
+                     * integrate_singular(vp, gamma=1.0, delta=ap * n, a=lo,
                                           b=t, tol=1e-13).value
                      for n in itertools.count(1))
         tail = lambda n: sup_v * _tail_sum(log_ml, n + 1)  # noqa: E731
@@ -1802,69 +1910,77 @@ class _FractionalPlan(_GridPlan):
         if bp >= 1.0:
             return False, "pole exponent too large"
         u0f = _as_fn(u0)
-        res = integrate_singular(
-            lambda s: np.asarray(u0f(s), dtype=float)**self.p,
-            gamma=1.0 - bp, delta=1.0, a=self.kernel.t0, b=float(t), tol=1e-9,
-        )
+
+        def weighted(s):
+            # a transport weighs phi'(s) (z(s) - z0)**(-beta), over the
+            # (s - t0)**(-beta) the rule absorbs
+            w = 1.0 if self.phi is None else self.dot(s) * (
+                (self.z(s) - self.z0) / (s - self.t0)) ** (-bp)
+            return np.asarray(u0f(s), dtype=float)**self.p * w
+
+        res = integrate_singular(weighted, gamma=1.0 - bp, delta=1.0,
+                                 a=self.t0, b=float(t), tol=1e-9)
         if res.converged and math.isfinite(res.value):
             return True, "pole-weighted integral finite"
         return False, "pole-weighted integral not certified"
 
     def _lipschitz(self, lo, t, level):
-        prm, X = self.params, t - self.kernel.t0
+        X, bp = self._span(lo, t), self.params.beta_p
         if X <= 0:
             return 0.0
-        if prm.beta_p >= 1.0:
+        if bp >= 1.0:
             return math.inf
-        val = X**prm.gap * beta_fn(1.0 - prm.beta_p, prm.alpha_p)
+        val = sum(X ** (a - bp) * beta_fn(1.0 - bp, a) for a in self.alphas)
         return val ** (1.0 / self.p)
 
-    def b_layers(self, nodes, w0, n_layers) -> np.ndarray:
+    def b_layers(self, nodes, w0, n_layers, lo=None) -> np.ndarray:
         """Picard series terms of a beta-zero kernel, in closed form.
 
         The increment profile is dominated by its right-continuous step
         majorant, ``w0[k]**p`` on ``(nodes[k-1], nodes[k]]`` and
-        ``w0[0]**p`` on ``[t0, nodes[0]]`` (sound: the step dominates the
-        profile).  Against the closed-form layer
-        ``c_i (t - s)**(delta - 1)``, ``delta = alpha_p i``, each step
-        integrates exactly, so term i at t is
+        ``w0[0]**p`` on ``[lo, nodes[0]]`` (lo the domain's lower end, t0
+        when None; sound: the step dominates the profile).  In z each step
+        integrates exactly against the closed-form layer, the sum of
+        ``coef x**(A - 1)`` over the multinomial terms, so term i at t is
 
-            (c_i * sum over k of w0[k]**p ((t - a_k)**delta
-             - (t - b_k)**delta) / delta)**(1/p)
+            (sum over k of w0[k]**p sum of coef ((z(t) - z(a_k))**A
+             - (z(t) - z(b_k))**A) / A)**(1/p)
 
-        with the step ends ``a_k < b_k`` clipped to ``[t0, t]``: one
-        vectorised O(m**2) evaluation per layer and no quadrature error.
+        with the step ends ``a_k < b_k`` clipped to ``[lo, t]``: one
+        vectorised O(m**2) evaluation per term and no quadrature error.
         """
-        if self.params.beta_p != 0.0:
+        if self.pole is not None:
             raise DivergentBoundError(
                 "certificates for fractional increment kernels are "
                 "implemented for beta = 0"
             )
-        ap, t0, p = self.params.alpha_p, self.kernel.t0, self.p
-        t = np.maximum(nodes, t0)[:, None]
-        ends = np.concatenate(([t0], nodes))[None, :]
-        # distance from t to every step end, ends above t clipped to t
-        dist = t - np.clip(ends, t0, t)
+        lo, p = self.t0 if lo is None else lo, self.p
+        t = np.maximum(nodes, lo)[:, None]
+        ends = np.concatenate(([lo], nodes))[None, :]
+        # z-distance from t to every step end, ends above t clipped to t
+        dist = self.z(t) - self.z(np.clip(ends, lo, t))
         step = w0**p
         b = np.zeros((n_layers, nodes.size))
         for i in range(1, n_layers + 1):
-            delta = ap * i
-            ln_c = i * ln_gamma(ap) - ln_gamma(delta)
-            powers = dist**delta
-            weights = (powers[:, :-1] - powers[:, 1:]) * (math.exp(ln_c)
-                                                           / delta)
+            weights = None
+            for A, log_coef in _multinomial_terms(self.alphas, i):
+                powers = dist**A
+                part = (powers[:, :-1] - powers[:, 1:]) * (math.exp(log_coef)
+                                                           / A)
+                weights = part if weights is None else weights + part
             b[i - 1] = np.maximum(_ext_matmul(weights, step), 0.0) ** (1.0 / p)
         return b
 
     def _certificate(self, ts, w0, n_layers, domain):
-        b = self.b_layers(ts, w0, n_layers)
-        prm, t0 = self.params, self.kernel.t0
+        lo = domain.lo if isinstance(domain, Interval1D) else None
+        b = self.b_layers(ts, w0, n_layers, lo)
         # the closed-form Lipschitz constant needs no grid level
         lam0 = np.array([self.lipschitz(t, domain, None) for t in ts])
         sup_w0 = np.maximum.accumulate(w0)
-        tail = np.array([0.0 if t <= t0 else sup_w0[j] * _tail_sum(
-            lambda k: prm.log_series_bound(k, float(t) - t0, 0.0),
-            n_layers + 1) for j, t in enumerate(ts)])
+        spans = [self._span(lo, t) for t in ts]
+        tail = np.array([0.0 if X <= 0 else sup_w0[j] * _tail_sum(
+            self._log_series_majorant(X), n_layers + 1)
+            for j, X in enumerate(spans)])
         return b, tail, lam0
 
 
@@ -1922,23 +2038,54 @@ class _RankOnePlan(_GridPlan):
 
     def _terms(self, op, vp, sup_v):
         """g_n(t), the integral of ``k**p(t, s) Phi(s, t)**(n-1) / (n-1)!
-        v(s)**p`` over the range, one O(m) sum per term, and its tail."""
+        v(s)**p`` over the range, one O(m) sum per term ``sum w v**p
+        Q**(n-1) / (n-1)!``, and its tail: the gap-integral majorant of a
+        monotone kernel; else, where w v**p >= 0 and 0 <= Q <= q = max Q,
+        g_n <= W q**(n-1) / (n-1)! with W = sum w v**p."""
         row, Q = op.kernel_row(), self.gap_profile(op.nodes)
         if not all(np.isfinite(x).all() for x in (row, Q, vp)):
             return super()._terms(op, vp, sup_v)
         w = op.row_weights * row
-        return _factorial_integrals(w * vp, Q), self._factorial_tail(
-            self.p, float(w.sum()), sup_v, 1)
+        wv = w * vp
+        if self._factorial:
+            tail = _factorial_tail(self.p, float(w.sum()), sup_v, 1)
+        elif (wv >= 0).all() and (Q >= 0).all():
+            tail = _factorial_tail(self.p, float(Q.max()),
+                                   float(wv.sum()) ** (1.0 / self.p), 0)
+        else:
+            tail = None
+        return _factorial_integrals(wv, Q), tail
+
+
+def _fractional_parts(kernel: Kernel, p: float):
+    """``(alphas, betas, t0, phi, phi_dot)`` of a fractional kernel, a
+    transported one, or at p = 1 a sum of beta = 0 fractional kernels with
+    one t0 (phi None: the identity); None for any other kernel."""
+    if isinstance(kernel, FractionalKernel):
+        kernel.require_p(p)
+        return (kernel.alpha,), (kernel.beta,), kernel.t0, None, None
+    if isinstance(kernel, TransformedFractionalKernel):
+        return kernel.alphas, kernel.betas, kernel.t0, kernel.phi, \
+            kernel.phi_dot
+    parts = getattr(kernel, "parts", ())
+    if isinstance(kernel, SumKernel) and p == 1.0 and all(
+            isinstance(k, FractionalKernel) and k.beta == 0.0
+            and k.t0 == parts[0].t0 for k in parts):
+        return (tuple(k.alpha for k in parts), (0.0,) * len(parts),
+                parts[0].t0, None, None)
+    return None
 
 
 def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
     """The path of a kernel family on a measure, validated once: void
-    kernels need atoms (``TypeError`` otherwise), fractional kernels take
-    their closed forms on Lebesgue measure only, kernels with a declared
-    diagonal take the rank-one closed forms on atomless measures, product
-    kernels take box tables only (``NotImplementedError`` at every other
-    entry point), and everything else takes the grid, transported
-    fractional kernels with their own table builder."""
+    kernels need atoms (``TypeError`` otherwise); on Lebesgue measure the
+    fractional family (``_fractional_parts``) takes ``_FractionalPlan``,
+    except transports at p != 1 and several parts with a pole, which take
+    the grid and have no table; product kernels take box tables only
+    (``NotImplementedError`` at every other entry point, and ``TypeError``
+    off a box measure); kernels with a declared diagonal take the
+    rank-one closed forms on atomless measures; everything else takes the
+    grid."""
     if p < 1:
         raise ValueError("p must be >= 1")
     discrete = isinstance(measure, DiscreteMeasure)
@@ -1946,19 +2093,20 @@ def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
         if not discrete:
             raise TypeError("void-ordered kernels integrate against atoms")
         return _VoidPlan(kernel, measure, p)
-    lebesgue = isinstance(measure, Lebesgue)
-    if isinstance(kernel, FractionalKernel) and lebesgue:
-        return _FractionalPlan(kernel, measure, p)
+    family = _fractional_parts(kernel, p) \
+        if isinstance(measure, Lebesgue) else None
+    if family is not None:
+        alphas, betas, _, phi, _ = family
+        if (phi is None or p == 1.0) and (len(alphas) == 1 or not any(betas)):
+            return _FractionalPlan(kernel, measure, p, *family)
+        return _GridPlan(kernel, measure, p, table_layers=_fractional_table)
     if isinstance(kernel, ProductKernel):
+        _box_axis_measures(measure, kernel.ndim)  # a box measure
         return _BoxPlan(kernel, measure, p, discrete, _box_table)
-    if isinstance(kernel, TransformedFractionalKernel) and lebesgue:
-        table_layers = _transformed_table
-    elif kernel._diagonal() is not None and \
+    if kernel._diagonal() is not None and \
             isinstance(measure, (Lebesgue, WeightedLebesgue)):
         return _RankOnePlan(kernel, measure, p)
-    else:
-        table_layers = _grid_table
-    return _GridPlan(kernel, measure, p, discrete, table_layers)
+    return _GridPlan(kernel, measure, p, discrete)
 
 
 # ---------------------------------------------------------------------------
@@ -1974,7 +2122,11 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     Truncation is certified family by family: factorial majorants for
     monotone kernels with finite gap integrals on atomless measures,
     exact geometric sums in the void case, Mittag-Leffler majorants for
-    fractional kernels on Lebesgue measure, and the positivity (ratio)
+    the fractional family on Lebesgue measure (fractional kernels,
+    transported ones at p = 1 with at most one part with a pole, and
+    sums of beta = 0 fractional kernels with one t0 at p = 1; for
+    several parts ``C**n`` times the least part's majorant), and the
+    positivity (ratio)
     tail of the grid columns for every other kernel on atoms or a grid
     whose operator is finite and nonnegative; rank-one kernels
     (separable, constant, multiplicative) on ``Lebesgue`` and
@@ -2017,12 +2169,22 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
 
     * void order: exact geometric value ``r / (1 - r)`` with
       ``r = q**(1/p)`` for ``q < 1``, infinity otherwise;
-    * fractional on Lebesgue measure, beta = 0: closed-form terms (an
-      identity with the generalised Mittag-Leffler series);
-    * fractional on Lebesgue measure, beta > 0: finite iff
-      ``beta * p < 1``; the returned sum is a certified upper envelope
-      from the Mittag-Leffler majorant, flagged ``converged=False`` (no
-      two-sided certificate);
+    * the fractional family on Lebesgue measure (fractional kernels,
+      transported ones at p = 1 with at most one part with a pole, sums
+      of beta = 0 fractional kernels with one t0 at p = 1), over the
+      lower set [domain.lo, t], or [t0, t] without a domain; a
+      transported kernel's integral is the fractional one over phi:
+
+      - one part with beta = 0: closed-form terms (an identity with the
+        generalised Mittag-Leffler series);
+      - several parts, all with beta = 0: multinomial closed-form terms
+        with the majorant tail of their least exponent;
+      - one part with beta > 0: finite iff ``beta * p < 1`` and
+        ``domain.lo >= t0``; the returned sum is a certified upper
+        envelope from the Mittag-Leffler majorant, flagged
+        ``converged=False`` (no two-sided certificate);
+    * rank-one kernels on atomless measures: closed-form terms with a
+      factorial tail, with or without a monotone flag;
     * monotone interval kernels with finite gap integral on atomless
       measures: quadrature terms with a factorial tail;
     * every other kernel on atoms or a grid: quadrature terms with the
