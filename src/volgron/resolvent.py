@@ -15,9 +15,12 @@ transported by an increasing phi, and sums of beta = 0 fractional kernels
 with one t0.  Its p-th powers are phi'(s) times a sum of fractional parts
 in z = phi(t), so one builder tabulates them all
 (``_fractional_sum_layers`` on phi(nodes)), by multinomial gamma-quotient
-closed forms when every pole exponent ``beta`` vanishes, otherwise by a
-one-dimensional recursion on one homogeneous ratio profile per (alpha,
-beta, p); every diagonal is the small-gap limit.
+closed forms when every pole exponent ``beta`` vanishes (each layer a
+function of the gap, summed once on the gap vector where the nodes have
+equal float gaps, as on dyadic grids of dyadic intervals without a
+transport, else entry by entry), otherwise by a one-dimensional recursion
+on one homogeneous ratio profile per (alpha, beta, p); every diagonal is
+the small-gap limit.
 
 One interval layer is a product of two lower-triangular m x m matrices,
 about a third of the multiply-adds of a full m x m product
@@ -1087,7 +1090,13 @@ def _fractional_sum_layers(alphas: Tuple[float, ...],
 
     Without a pole, layer n sums the terms of ``_multinomial_terms``,
     exact.  The diagonal is their small-gap limit (``_multinomial_value``
-    at x = 0).
+    at x = 0).  The kernel depends on the gap alone, and so does every
+    layer: on nodes with equal float gaps (``np.diff(z)`` constant, as on
+    every dyadic grid of an interval with dyadic ends and width, phi the
+    identity) ``z_i - z_j`` is ``z_(i-j) - z_0`` bit for bit, so a layer
+    is summed once on the m - 1 gaps to ``z_0`` and copied along its
+    diagonals.  Other nodes (transported, non-dyadic, ``for_points``) sum
+    every entry below the diagonal.
     """
     if pole is not None:
         return _gap_tables(pole, z, z0, n_max) + ("certified",)
@@ -1098,14 +1107,26 @@ def _fractional_sum_layers(alphas: Tuple[float, ...],
             f"{n_counts} multinomial components exceed budget 100000"
         )
     layers = np.zeros((n_max, m, m))
+    gaps = np.diff(z)
+    toeplitz = bool((gaps == gaps[:1]).all())
     strict = ~_tril_mask(m).T
-    lx = np.log((z[:, None] - z[None, :])[strict])
+    lx = np.log(z[1:] - z[0] if toeplitz else
+                (z[:, None] - z[None, :])[strict])
+    # row i of a Toeplitz layer is ``padded[i:i + m]`` reversed: [zeros,
+    # diagonal, the values at gaps 1 to m - 1]
+    padded = np.zeros(2 * m - 1)
+    rows = np.lib.stride_tricks.sliding_window_view(padded, m)[:, ::-1]
     for n in range(1, n_max + 1):
         acc = 0.0
         for A, log_coef in _multinomial_terms(alphas, n):
             acc = acc + np.exp(log_coef + (A - 1.0) * lx)
-        layers[n - 1][strict] = acc
-        np.fill_diagonal(layers[n - 1], _multinomial_value(alphas, n, 0.0))
+        diagonal = _multinomial_value(alphas, n, 0.0)
+        if toeplitz:
+            padded[m - 1], padded[m:] = diagonal, acc
+            layers[n - 1] = rows
+        else:
+            layers[n - 1][strict] = acc
+            np.fill_diagonal(layers[n - 1], diagonal)
     return layers, 0.0, "exact"
 
 
@@ -1817,19 +1838,28 @@ class _FractionalPlan(_GridPlan):
         ln_c = self._ln_spread(x)
         log_maj = lambda k: params.log_layer_bound(  # noqa: E731
             k, x, y, params.ln_c_hat_max) + k * ln_c
-        above = 0
+        above, low = 0, -math.inf
 
         def tail(n: int) -> float:
-            # a tail from n + 1 <= above sums the term at ``above``, which
-            # is >= tol: it cannot stop the sum and needs no recomputation
-            nonlocal above
+            # a tail from n + 1 <= above sums the term at ``above``, beyond
+            # the float range.  Otherwise ``low``, the last fresh sum less
+            # the terms taken off it since, bounds the tail from n + 1
+            # below: while it is >= tol, so is a fresh tail, which cannot
+            # stop the sum and needs no recomputation
+            nonlocal above, low
             if n < above:
                 return math.inf
+            if low > 0.0:
+                low -= d * math.exp(log_maj(n))
+                if low >= tol:
+                    return math.inf
             sv = _log_series(log_maj, n + 1, math.inf, 100_000)  # _tail_sum
-            last = n + sv.terms_used
-            if log_maj(last) > _LOG_MAX or \
-                    d * math.exp(log_maj(last)) >= tol:
-                above = last
+            if sv.sum == math.inf:
+                above, low = n + sv.terms_used, -math.inf
+            else:
+                # less the rounding of a sum of that many terms and of the
+                # subtractions that follow it
+                low = d * sv.sum * (1.0 - 1e-15 * (sv.terms_used + 4))
             return d * (sv.sum + sv.tail_bound)
 
         return _root_sum((d * float(f(n, x, y)) for n in itertools.count(1)),
