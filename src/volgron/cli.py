@@ -122,8 +122,6 @@ def _write(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _cmd_ml(args) -> int:
-    if args.tol <= 0:
-        raise _CliError("tol must be positive")
     sv = mittag_leffler(MLParams(args.alpha, args.beta, args.p), args.z,
                         tol=args.tol)
     text = ("value,tail_bound,terms,converged\n"

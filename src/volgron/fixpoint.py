@@ -213,7 +213,7 @@ def picard_solve(op: EvolutionOperatorSpec, x0: np.ndarray, tol: float,
         error estimate fails) or no tail certificate exists for the
         increment kernel family.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(op.apply(x0), dtype=float)

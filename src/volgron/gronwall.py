@@ -34,14 +34,15 @@ from .resolvent import (
     _factorial_integrals,
     _factorial_log,
     _kernel_power,
+    _nonnegative,
     _plan,
     _root_sum,
     _row_integrals,
     _scaled_power,
     fractional_inequality_constant,
 )
-from .specfun import (_LOG_MAX, MLParams, SeriesValue, _log_series, _tail_sum,
-                      ln_gamma, mittag_leffler)
+from .specfun import (_LOG_MAX, MLParams, SeriesValue, _log_series,
+                      _running_tail, _tail_sum, ln_gamma, mittag_leffler)
 
 __all__ = [
     "GronwallInput",
@@ -77,6 +78,8 @@ class GronwallInput:
     l: Optional[Kernel] = None
 
     def __post_init__(self):
+        if not callable(self.v0):
+            _nonnegative("v0", self.v0)
         # the void case reads its closed forms from the plans of k and l
         k_plan, l_plan = (None if f is None else _plan(f, self.measure, self.p)
                           for f in (self.k, self.l))
@@ -108,7 +111,7 @@ class GronwallInput:
         interval, one batched evaluation of the l integrals over the
         dyadic grids of [lo, t] (``_row_integrals``)."""
         ts = np.asarray(ts, dtype=float)
-        out = np.array(self.v0_fn()(ts), dtype=float)
+        out = _nonnegative("v0", self.v0_fn()(ts))
         if self.l is None:
             return out
         r = 1.0 / self.p
@@ -189,6 +192,8 @@ def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
     part each term is one singular quadrature, else the grid.  The
     caller checks the vanishing condition; this only evaluates the bound.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     return _plan(kernel, measure, p).bound(v, t, domain, tol, level, n_cap)
 
 
@@ -253,6 +258,8 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     tail).  On an interval the series are truncated with a certified
     factorial tail, reported as ``tail``.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     p = inp.p
     if inp.m == 0:
         plan = inp._k_plan
@@ -280,8 +287,8 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     n_max = n_cap if math.isfinite(q) else 1
     log_fact = _factorial_log(q, p)
     sv = _root_sum(_factorial_integrals(_ext_mul(row, _ext_mul(
-        kcol, v_vals**p)), Q), p, lambda n: sup_v * _tail_sum(log_fact, n + 1),
-        tol, n_max)
+        kcol, v_vals**p)), Q), p, _running_tail(log_fact, 1, sup_v, tol), tol,
+        n_max)
 
     sup_v0 = float(np.max(np.asarray(inp.v0_fn()(op.nodes), dtype=float)))
     ml = mittag_leffler(MLParams(1.0, 1.0, p), q ** (1.0 / p), tol=1e-14)
@@ -294,7 +301,7 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
         # no majorant of l, or an infinite first term: sup form inf, exactly
         lsv = SeriesValue(math.inf, 0.0, 1, True) if math.isinf(int_l) else \
             _root_sum(_factorial_integrals(_ext_mul(row, lcol), Q), p,
-                      lambda n: int_l ** (1.0 / p) * _tail_sum(log_fact, n),
+                      _running_tail(log_fact, 0, int_l ** (1.0 / p), tol),
                       tol, n_max)
     return (v_t + sv.sum, head + lsv.sum,
             sv.tail_bound + ml_tail + lsv.tail_bound)
@@ -308,7 +315,7 @@ def _lower_set(inp: GronwallInput, t, level: int):
     lower set, ``(inf, inf, inf)`` without a factorial majorant of k."""
     plan, lo = inp._k_plan, inp.domain.lo
     if plan.null(lo, t):  # only v0 survives
-        v0_t = float(inp.v0_fn()(np.asarray(float(t))))
+        v0_t = float(_nonnegative("v0", inp.v0_fn()(np.asarray(float(t)))))
         return v0_t, v0_t, 0.0
     if not plan._factorial:  # k not declared monotone, or atoms
         return math.inf, math.inf, math.inf
@@ -373,6 +380,8 @@ def fractional_box_sup_bound(k0_t: float, alphas: Sequence[float],
     possibly non-optimal (it reduces to the exact one when every beta
     vanishes).  The additive ``v(t)`` term is the caller's.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     params = [FractionalResolventParams(a, b, p)
               for a, b in zip(alphas, betas)]
     for prm in params:

@@ -215,7 +215,7 @@ def integrate(f, region, measure: MeasureSpec, tol: float = 1e-9,
     -------
     IntegralResult
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if isinstance(measure, DiscreteMeasure):
         return _discrete_sum(f, region, measure)
@@ -247,6 +247,8 @@ def integrate_singular(f_regular, gamma: float, delta: float,
     """
     if gamma <= 0 or delta <= 0:
         raise ValueError("weight exponents gamma, delta must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if not b > a:
         raise ValueError("need b > a")
     L = b - a

@@ -53,9 +53,9 @@ recognised (factorial for monotone and rank-one kernels on atomless
 measures, Mittag-Leffler for the fractional family) the tail is a
 log-concave series given by its log-terms (``_factorial_log``,
 ``FractionalResolventParams.log_layer_bound`` and ``log_series_bound``)
-and summed by ``specfun._log_series``, which bounds the remainder by
-twice the next term once the term ratio is below 1/2, and returns
-``inf`` instead of raising on float overflow.  Elsewhere, on atoms or a
+summed after every term by one ``specfun._running_tail``, which runs
+``specfun._log_series`` (inf on float overflow) afresh only where the
+tail can fall below tol.  Elsewhere, on atoms or a
 grid whose operator B is finite and nonnegative, the positivity tail of
 ``_ratio_tail`` bounds the rest once one column shrinks entrywise by a
 factor theta < 1.  Either tail bounds the truncation of the operator's
@@ -97,8 +97,8 @@ from .measures import (
     _density,
 )
 from .quadrature import integrate, range_weights_matrix
-from .specfun import (_LOG_MAX, SeriesValue, _log_series, _tail_sum,
-                      gamma_min_point, ln_gamma)
+from .specfun import (_LOG_MAX, SeriesValue, _log_series, _running_tail,
+                      _tail_sum, gamma_min_point, ln_gamma)
 from .specfun import beta as beta_fn
 
 __all__ = [
@@ -306,6 +306,15 @@ def _ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.multiply(a, b)
     out[np.isnan(out)] = 0.0
+    return out
+
+
+def _nonnegative(name: str, values) -> np.ndarray:
+    """``values`` as a new float array; a ``ValueError`` naming them unless
+    each is >= 0 (NaN is not)."""
+    out = np.array(values, dtype=float)
+    if not (out >= 0).all():
+        raise ValueError(f"{name} must be nonnegative and not NaN")
     return out
 
 
@@ -972,9 +981,8 @@ def _gap_limit(params: FractionalResolventParams, n: int, y: float) -> float:
     ap = params.alpha_p
     if ap * n != 1.0:
         return 0.0 if ap * n > 1.0 else math.inf
-    log_c = n * ln_gamma(ap) - ln_gamma(ap * n)
-    return math.exp(log_c - params.beta_p * n * math.log(y)) \
-        if params.beta_p > 0 else math.exp(log_c)
+    return math.exp(n * ln_gamma(ap) - ln_gamma(ap * n)
+                    - params.beta_p * n * math.log(y))
 
 
 # (Chebyshev degree, Jacobi nodes) of the two profiles behind a table: the
@@ -1074,7 +1082,7 @@ def _multinomial_value(alphas: Tuple[float, ...], n: int, x: float) -> float:
     terms = _multinomial_terms(alphas, n)
     if x == 0.0:
         return math.inf if min(A for A, _ in terms) < 1.0 else \
-            sum(math.exp(c) for A, c in terms if A == 1.0)
+            sum((math.exp(c) for A, c in terms if A == 1.0), 0.0)
     lx = math.log(x)
     return sum(math.exp(c + (A - 1.0) * lx) for A, c in terms)
 
@@ -1149,16 +1157,13 @@ def fractional_f(params: FractionalResolventParams, n: int,
         raise ValueError("n must be >= 1")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    bp = params.beta_p
-    if bp > 0 and y <= 0:
+    if params.beta_p == 0.0:
+        return _multinomial_value((params.alpha_p,), n, x)
+    if y <= 0:
         return math.inf
     if x == 0.0:
         return _gap_limit(params, n, y)
-    if bp > 0:
-        return float(_FractionalProfile(params, x / y).f(n, x, y))
-    ap = params.alpha_p
-    return math.exp(n * ln_gamma(ap) - ln_gamma(ap * n)
-                    + (ap * n - 1.0) * math.log(x))
+    return float(_FractionalProfile(params, x / y).f(n, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -1381,16 +1386,6 @@ def _factorial_integrals(w: np.ndarray, Q: np.ndarray) -> Iterator[float]:
         yield total
 
 
-def _factorial_tail(p: float, q: float, scale: float, first: int):
-    """Where term n is at most ``scale * (q**j / j!)**(1/p)``, j = n - 1 +
-    first: the bound of the terms after the n-th; None for an infinite
-    q."""
-    if not math.isfinite(q):
-        return None
-    log_fact = _factorial_log(q, p)
-    return lambda n: scale * _tail_sum(log_fact, n + first)
-
-
 def _ratio_tail(columns: Iterator[np.ndarray], p: float, certify: bool):
     """The last entries g_n(t) of the columns g_1, g_2, ... of a
     ``GridOperator`` and, if ``certify`` (B finite and nonnegative), the
@@ -1456,9 +1451,10 @@ class _GridPlan:
     ordered = True
 
     def __init__(self, kernel: Kernel, measure: MeasureSpec, p: float,
-                 discrete: bool = False, table_layers=_grid_table):
+                 table_layers=_grid_table):
         self.kernel, self.measure, self.p = kernel, measure, p
-        self.discrete, self.table_layers = discrete, table_layers
+        self.table_layers = table_layers
+        self.discrete = isinstance(measure, DiscreteMeasure)
 
     @property
     def _factorial(self) -> bool:
@@ -1507,7 +1503,7 @@ class _GridPlan:
             if self._factorial else math.inf
         # R_n(t, s) <= k**p(t, s) q**(n-1) / (n-1)!
         terms, tail = self._tailed(op, op.powers(op.kernel_column(s)), 1.0,
-                                   q, kp_at, 0)
+                                   q, kp_at, 0, tol)
         # an infinite grid term of a finite kernel value is a quadrature
         # artefact (a singular kernel), not a divergence: the terms end
         return _root_sum(itertools.takewhile(math.isfinite, terms), 1.0,
@@ -1546,7 +1542,7 @@ class _GridPlan:
         return self.series(1.0, t, domain, tol, level, n_cap)
 
     def bound(self, v, t, domain, tol, level, n_cap) -> SeriesValue:
-        v_t = float(_as_fn(v)(np.asarray(float(t))))
+        v_t = float(_nonnegative("v", _as_fn(v)(np.asarray(float(t)))))
         sv = self.series(v, t, domain, tol, level, n_cap)
         return SeriesValue(v_t + sv.sum, sv.tail_bound, sv.terms_used,
                            sv.converged)
@@ -1566,28 +1562,28 @@ class _GridPlan:
         """``series`` over [lo, t], term n the p-th root of the integral
         g_n(t) of ``_terms``."""
         op = self.op(lo, t, level)
-        v_vals = np.asarray(_as_fn(v)(op.nodes), dtype=float)
+        v_vals = _nonnegative("v", _as_fn(v)(op.nodes))
         sup_v = float(np.max(v_vals)) if np.all(np.isfinite(v_vals)) \
             else math.inf
-        terms, tail = self._terms(op, v_vals**self.p, sup_v)
+        terms, tail = self._terms(op, v_vals**self.p, sup_v, tol)
         return _root_sum(terms, self.p, tail, tol, n_cap)
 
-    def _terms(self, op: GridOperator, vp, sup_v):
+    def _terms(self, op: GridOperator, vp, sup_v, tol):
         """The integrals g_n(t), by Fubini g_1 = B v**p and g_{n+1} = B g_n,
         and their tail; g_n(t)**(1/p) <= sup v (q**n / n!)**(1/p) with the
         gap integral q = (B 1)(t)."""
         q = float(op.column(np.ones(op.nodes.size))[-1])
-        return self._tailed(op, op.powers(op.column(vp)), self.p, q, sup_v, 1)
+        return self._tailed(op, op.powers(op.column(vp)), self.p, q, sup_v, 1,
+                            tol)
 
-    def _tailed(self, op: GridOperator, columns, p, q, scale, first):
+    def _tailed(self, op: GridOperator, columns, p, q, scale, first, tol):
         """The last entries of ``op``'s ``columns`` and the one tail of
         their p-th roots: factorial where it holds (``_factorial``, finite
         gap integral q), else the ratio tail."""
-        tail = _factorial_tail(p, q, scale, first) if self._factorial \
-            else None
-        if tail is None:
+        if not (self._factorial and math.isfinite(q)):
             return _ratio_tail(columns, p, op._b_certifiable)
-        return (float(g[-1]) for g in columns), tail
+        return (float(g[-1]) for g in columns), _running_tail(
+            _factorial_log(q, p), first, scale, tol)
 
     def _gap(self, lo, t, level):
         """The grid of [lo, t], k(t, u)**p on it and its integral (inf
@@ -1690,7 +1686,7 @@ class _VoidPlan(_GridPlan):
     ordered = False
 
     def __init__(self, kernel: VoidKernel, measure: DiscreteMeasure, p):
-        super().__init__(kernel, measure, p, discrete=True)
+        super().__init__(kernel, measure, p)
         atoms = GridOperator.on_atoms(kernel, measure, p, ordered=False)
         self.nodes, self.masses = atoms.nodes, atoms.weights
         self.k1p = np.asarray(kernel.k1(self.nodes), dtype=float)**p
@@ -1813,7 +1809,7 @@ class _FractionalPlan(_GridPlan):
 
     def _f(self, n: int, x: float, y: float) -> float:
         """R_n^frac at gap x and offset y."""
-        if len(self.alphas) == 1:
+        if self.pole is not None:
             return fractional_f(self.params, n, x, y)
         return _multinomial_value(self.alphas, n, x)
 
@@ -1838,32 +1834,8 @@ class _FractionalPlan(_GridPlan):
         ln_c = self._ln_spread(x)
         log_maj = lambda k: params.log_layer_bound(  # noqa: E731
             k, x, y, params.ln_c_hat_max) + k * ln_c
-        above, low = 0, -math.inf
-
-        def tail(n: int) -> float:
-            # a tail from n + 1 <= above sums the term at ``above``, beyond
-            # the float range.  Otherwise ``low``, the last fresh sum less
-            # the terms taken off it since, bounds the tail from n + 1
-            # below: while it is >= tol, so is a fresh tail, which cannot
-            # stop the sum and needs no recomputation
-            nonlocal above, low
-            if n < above:
-                return math.inf
-            if low > 0.0:
-                low -= d * math.exp(log_maj(n))
-                if low >= tol:
-                    return math.inf
-            sv = _log_series(log_maj, n + 1, math.inf, 100_000)  # _tail_sum
-            if sv.sum == math.inf:
-                above, low = n + sv.terms_used, -math.inf
-            else:
-                # less the rounding of a sum of that many terms and of the
-                # subtractions that follow it
-                low = d * sv.sum * (1.0 - 1e-15 * (sv.terms_used + 4))
-            return d * (sv.sum + sv.tail_bound)
-
         return _root_sum((d * float(f(n, x, y)) for n in itertools.count(1)),
-                         1.0, tail, tol,
+                         1.0, _running_tail(log_maj, 1, d, tol), tol,
                          _layers_in_budget(len(self.alphas), n_cap))
 
     def iterate(self, n, t, s, level):
@@ -1888,7 +1860,7 @@ class _FractionalPlan(_GridPlan):
             terms = (sum(math.exp(c + A * lX) / A
                          for A, c in _multinomial_terms(self.alphas, n))
                      for n in itertools.count(1))
-            return _root_sum(terms, 1.0, lambda n: _tail_sum(log_maj, n + 1),
+            return _root_sum(terms, 1.0, _running_tail(log_maj, 1, 1.0, tol),
                              tol, _layers_in_budget(len(self.alphas), n_cap))
         # beta = 0: the closed-form terms are their own majorant; beta > 0:
         # the majorant summed as an upper envelope.  tol is absolute, so it
@@ -1905,7 +1877,7 @@ class _FractionalPlan(_GridPlan):
         """beta = 0: a constant v times the series function over [lo, t];
         a function v integrated against each closed-form layer by singular
         quadrature (one part, no transport)."""
-        prm, p = self.params, self.p
+        p = self.p
         if self.pole is not None or callable(v) and (
                 self.phi is not None or len(self.alphas) > 1):
             return super()._series(v, lo, t, tol, level, n_cap)
@@ -1916,22 +1888,22 @@ class _FractionalPlan(_GridPlan):
             c = float(v)
             if c == 0.0:
                 return SeriesValue(0.0, 0.0, 0, True)
+            if math.isinf(c):  # the grid path's first term
+                return SeriesValue(math.inf, math.inf, 1, False)
             sv = self._closed_series(X, tol / c, n_cap)
             return SeriesValue(c * sv.sum, c * sv.tail_bound, sv.terms_used,
                                sv.converged)
         from .quadrature import integrate_singular
 
-        ap = prm.alpha_p
         vp = lambda s: np.asarray(v(s), dtype=float)**p  # noqa: E731
-        sup_v = float(np.max(np.asarray(v(np.linspace(lo, t, 257)),
-                                        dtype=float)))
+        sup_v = float(np.max(_nonnegative("v", v(np.linspace(lo, t, 257)))))
         log_ml = self._log_series_majorant(X)
-        integrals = (math.exp(n * ln_gamma(ap) - ln_gamma(ap * n))
-                     * integrate_singular(vp, gamma=1.0, delta=ap * n, a=lo,
-                                          b=t, tol=1e-13).value
-                     for n in itertools.count(1))
-        tail = lambda n: sup_v * _tail_sum(log_ml, n + 1)  # noqa: E731
-        return _root_sum(integrals, p, tail, tol, n_cap)
+        integrals = (math.exp(log_coef) * integrate_singular(
+            vp, gamma=1.0, delta=A, a=lo, b=t, tol=1e-13).value
+            for n in itertools.count(1)
+            for A, log_coef in _multinomial_terms(self.alphas, n))
+        return _root_sum(integrals, p, _running_tail(log_ml, 1, sup_v, tol),
+                         tol, n_cap)
 
     def vanishing(self, u0, t, domain, strategy, level):
         from .quadrature import integrate_singular
@@ -2066,7 +2038,7 @@ class _RankOnePlan(_GridPlan):
             kp = kp * res.value / i
         return kp
 
-    def _terms(self, op, vp, sup_v):
+    def _terms(self, op, vp, sup_v, tol):
         """g_n(t), the integral of ``k**p(t, s) Phi(s, t)**(n-1) / (n-1)!
         v(s)**p`` over the range, one O(m) sum per term ``sum w v**p
         Q**(n-1) / (n-1)!``, and its tail: the gap-integral majorant of a
@@ -2074,16 +2046,16 @@ class _RankOnePlan(_GridPlan):
         g_n <= W q**(n-1) / (n-1)! with W = sum w v**p."""
         row, Q = op.kernel_row(), self.gap_profile(op.nodes)
         if not all(np.isfinite(x).all() for x in (row, Q, vp)):
-            return super()._terms(op, vp, sup_v)
+            return super()._terms(op, vp, sup_v, tol)
         w = op.row_weights * row
         wv = w * vp
+        tail = None
         if self._factorial:
-            tail = _factorial_tail(self.p, float(w.sum()), sup_v, 1)
+            tail = _running_tail(_factorial_log(float(w.sum()), self.p), 1,
+                                 sup_v, tol)
         elif (wv >= 0).all() and (Q >= 0).all():
-            tail = _factorial_tail(self.p, float(Q.max()),
-                                   float(wv.sum()) ** (1.0 / self.p), 0)
-        else:
-            tail = None
+            tail = _running_tail(_factorial_log(float(Q.max()), self.p), 0,
+                                 float(wv.sum()) ** (1.0 / self.p), tol)
         return _factorial_integrals(wv, Q), tail
 
 
@@ -2118,9 +2090,8 @@ def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
     grid."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    discrete = isinstance(measure, DiscreteMeasure)
     if isinstance(kernel, VoidKernel):
-        if not discrete:
+        if not isinstance(measure, DiscreteMeasure):
             raise TypeError("void-ordered kernels integrate against atoms")
         return _VoidPlan(kernel, measure, p)
     family = _fractional_parts(kernel, p) \
@@ -2132,11 +2103,11 @@ def _plan(kernel: Kernel, measure: MeasureSpec, p: float) -> _GridPlan:
         return _GridPlan(kernel, measure, p, table_layers=_fractional_table)
     if isinstance(kernel, ProductKernel):
         _box_axis_measures(measure, kernel.ndim)  # a box measure
-        return _BoxPlan(kernel, measure, p, discrete, _box_table)
+        return _BoxPlan(kernel, measure, p, _box_table)
     if kernel._diagonal() is not None and \
             isinstance(measure, (Lebesgue, WeightedLebesgue)):
         return _RankOnePlan(kernel, measure, p)
-    return _GridPlan(kernel, measure, p, discrete)
+    return _GridPlan(kernel, measure, p)
 
 
 # ---------------------------------------------------------------------------
@@ -2167,7 +2138,7 @@ def resolvent_series(kernel: Kernel, measure: MeasureSpec, p: float,
     below ``tol`` within ``n_cap`` terms, or an infinite grid term, leaves
     the sum ``converged=False``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     plan = _plan(kernel, measure, p)
     if plan.ordered and not _leq_points(s, t):
@@ -2221,7 +2192,7 @@ def series_function_I(kernel: Kernel, measure: MeasureSpec, p: float, t,
       positivity (ratio) tail where the grid operator is finite and
       nonnegative, inf and unconverged at an infinite term.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return _plan(kernel, measure, p).series_function(t, domain, tol, level,
                                                      n_cap)

@@ -10,9 +10,10 @@ p-th power.
 
 Every certified series of the package is summed by ``_log_series``:
 the terms are log-concave (ln gamma is convex), so once a term ratio r
-drops below 1/2 the remainder is at most twice the next term.  A
-term above the float range gives an unconverged ``inf``, never an
-exception.
+drops below 1/2 the remainder is at most twice the next term.  A term
+above the float range gives an unconverged ``inf``, never an exception.
+The majorant tail after each term of a resolvent series is one
+``_running_tail``, which sums it afresh only where it can be below tol.
 
 Log-gamma comes from the platform libm.  Digamma is delegated to
 ``scipy.special``, imported on its first call, so importing this module
@@ -167,6 +168,38 @@ def _tail_sum(log_term: Callable[[int], float], n_start: int) -> float:
     return sv.sum + sv.tail_bound
 
 
+def _running_tail(log_term: Callable[[int], float], first: int,
+                  scale: float, tol: float):
+    """``tail(n)`` for n = 1, 2, ... in turn: ``scale * _tail_sum(log_term,
+    n + first)`` bit for bit where that is below tol (scale >= 0), else
+    inf, summed afresh only where it can be below tol: not from starts up
+    to a term K that overflowed a fresh sum with scale a_K >= tol (a sum
+    through K is at least a_K), nor while ``low``, the last fresh sum less
+    the terms taken off it since and their rounding, is at least tol."""
+    above, low = 0, -math.inf
+
+    def tail(n: int) -> float:
+        nonlocal above, low
+        if n < above:
+            return math.inf
+        if low > 0.0:
+            low -= scale * math.exp(log_term(n + first - 1))
+            if low >= tol:
+                return math.inf
+        sv = _log_series(log_term, n + first, math.inf, 100_000)
+        if sv.sum == math.inf:
+            top = log_term(n + first + sv.terms_used - 1)
+            if top > _LOG_MAX or scale * math.exp(top) >= tol:
+                above = n + sv.terms_used
+            low = -math.inf
+            return math.inf
+        low = scale * sv.sum * (1.0 - 1e-15 * (sv.terms_used + 4))
+        rest = scale * (sv.sum + sv.tail_bound)
+        return rest if rest < tol else math.inf
+
+    return tail
+
+
 def mittag_leffler(params: MLParams, z: float, tol: float = 1e-14,
                    max_terms: int = 100_000) -> SeriesValue:
     """Evaluate the generalised Mittag-Leffler series at z >= 0.
@@ -179,7 +212,7 @@ def mittag_leffler(params: MLParams, z: float, tol: float = 1e-14,
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     log_z = math.log(z) if z > 0 else -math.inf
 
