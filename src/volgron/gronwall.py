@@ -173,7 +173,13 @@ def check_vanishing(kernel: Kernel, measure: MeasureSpec, p: float,
       (``strategy="summability"``); ``"auto"`` tries both.
     """
     return VanishingReport(*_plan(kernel, measure, p).vanishing(
-        u0, t, domain, strategy, level))
+        _checked_u0(u0), t, domain, strategy, level))
+
+
+def _checked_u0(u0: Union[float, Callable]) -> Callable:
+    """u0 as a function checked like v0, a constant at once."""
+    u0f = _as_fn(u0 if callable(u0) else float(_nonnegative("u0", u0)))
+    return lambda s: _nonnegative("u0", u0f(s))
 
 
 def resolvent_bound(v: Union[float, Callable], kernel: Kernel,
@@ -209,7 +215,7 @@ def gronwall_sequence_bound(inp: GronwallInput, u0: Union[float, Callable],
     if n < 1:
         raise ValueError("n must be >= 1")
     p = inp.p
-    u0f = _as_fn(u0)
+    u0f = _checked_u0(u0)
     v0f = inp.v0_fn()
 
     if inp.m == 0:
@@ -286,15 +292,16 @@ def gronwall_bound(inp: GronwallInput, t, tol: float = 1e-12,
     # stops after its first term with an infinite tail
     n_max = n_cap if math.isfinite(q) else 1
     log_fact = _factorial_log(q, p)
+    # q = 0 zeroes the majorant, even times an infinite sup v (0 * inf = 0)
     sv = _root_sum(_factorial_integrals(_ext_mul(row, _ext_mul(
-        kcol, v_vals**p)), Q), p, _running_tail(log_fact, 1, sup_v, tol), tol,
-        n_max)
+        kcol, v_vals**p)), Q), p, _running_tail(
+            log_fact, 1, sup_v if q > 0 else 0.0, tol), tol, n_max)
 
     sup_v0 = float(np.max(np.asarray(inp.v0_fn()(op.nodes), dtype=float)))
     ml = mittag_leffler(MLParams(1.0, 1.0, p), q ** (1.0 / p), tol=1e-14)
-    # sup v0 = 0 kills the Mittag-Leffler factor, even an infinite one
-    head, ml_tail = (sup_v0 * ml.sum, sup_v0 * ml.tail_bound) \
-        if sup_v0 > 0 else (0.0, 0.0)
+    # 0 * inf = 0: sup v0 = 0 kills even an infinite Mittag-Leffler factor
+    head, ml_tail = _ext_mul(np.array([ml.sum, ml.tail_bound]),
+                             sup_v0).tolist()
     lsv = SeriesValue(0.0, 0.0, 0, True)  # no l
     if inp.l is not None:
         int_l = op.row_integral(lcol)

@@ -898,10 +898,10 @@ class _FractionalProfile:
 
     with a Gauss-Jacobi rule whose weight absorbs both endpoint powers
     (``_step``).  The step reads psi_n from its Chebyshev interpolant in
-    log r over ``[log r_max - WIDTH, log r_max]``; psi_1 = 1.  A layer is
-    read where it is used: from its interpolant once built, else by the
-    step itself at the ratios asked for, when they are fewer than the
-    Chebyshev points.  So an interpolant is built (``advance``) only for
+    log r over ``[log r_max - WIDTH, log r_max]``; psi_1 = 1 is read in
+    closed form.  A layer is read where it is used: from its interpolant
+    once built, else by the step itself at the ratios asked for, when
+    they are fewer than the Chebyshev points.  So an interpolant is built (``advance``) only for
     a layer a later layer steps from, or one read at that many ratios.
     Only needed for beta > 0; beta = 0 has closed forms.
     """
@@ -910,8 +910,8 @@ class _FractionalProfile:
 
     def __init__(self, params: FractionalResolventParams, r_max: float,
                  deg: int = 96, jacobi_nodes: int = 192):
-        if not r_max > 0:
-            raise ValueError("profile needs r_max > 0")
+        if not 0 < r_max < math.inf:
+            raise ValueError("profile needs a finite r_max > 0")
         self.params = params
         self.u_hi = math.log(r_max)
         self.u_lo = self.u_hi - self._WIDTH
@@ -919,7 +919,7 @@ class _FractionalProfile:
         xc, self._fit = _cheb_rule(deg)
         self._rs = np.exp(0.5 * ((self.u_hi + self.u_lo)
                                  + (self.u_hi - self.u_lo) * xc))
-        # psi_1 = 1, padded to the two coefficients _chebval reads
+        # psi_1 = 1, read in closed form; kept for subclasses that interpolate
         self._coefs: list = [None, np.array([1.0, 0.0])]
 
     @property
@@ -935,11 +935,12 @@ class _FractionalProfile:
 
     def _step(self, n: int, r: np.ndarray) -> np.ndarray:
         """psi_{n+1} at ratios r, by the quadrature on layer n's
-        interpolant."""
+        interpolant (on psi_1 = 1 itself for n = 1)."""
         ap, bp = self.params.alpha_p, self.params.beta_p
         lam, w = _jacobi_rule(self.jacobi_nodes, ap - 1.0, ap * n - 1.0)
         z = lam[:, None] * r[None, :]
-        return w @ ((1.0 + z) ** (-bp) * self._psi_at(n, z))
+        weight = (1.0 + z) ** (-bp)
+        return w @ (weight if n == 1 else weight * self._psi_at(n, z))
 
     def advance(self) -> None:
         """Build the interpolant of the next layer."""
@@ -947,6 +948,8 @@ class _FractionalProfile:
 
     def psi(self, n: int, r: np.ndarray) -> np.ndarray:
         """psi_n at distinct ratios r (1-d, ``r <= r_max``)."""
+        if n == 1:
+            return np.ones(r.shape)
         if n > self.n_layers and r.size < self._rs.size:
             while self.n_layers < n - 1:
                 self.advance()
@@ -1087,6 +1090,13 @@ def _multinomial_value(alphas: Tuple[float, ...], n: int, x: float) -> float:
     return sum(math.exp(c + (A - 1.0) * lx) for A, c in terms)
 
 
+def _equal_gaps(z: np.ndarray) -> bool:
+    """Equal float gaps of increasing z (every dyadic grid of an interval
+    with dyadic ends and width): ``z_i - z_j`` is ``z_(i-j) - z_0`` then."""
+    gaps = np.diff(z)
+    return bool((gaps == gaps[:1]).all())
+
+
 def _fractional_sum_layers(alphas: Tuple[float, ...],
                            pole: Optional[FractionalResolventParams],
                            z: np.ndarray, z0: float, n_max: int
@@ -1099,12 +1109,10 @@ def _fractional_sum_layers(alphas: Tuple[float, ...],
     Without a pole, layer n sums the terms of ``_multinomial_terms``,
     exact.  The diagonal is their small-gap limit (``_multinomial_value``
     at x = 0).  The kernel depends on the gap alone, and so does every
-    layer: on nodes with equal float gaps (``np.diff(z)`` constant, as on
-    every dyadic grid of an interval with dyadic ends and width, phi the
-    identity) ``z_i - z_j`` is ``z_(i-j) - z_0`` bit for bit, so a layer
-    is summed once on the m - 1 gaps to ``z_0`` and copied along its
-    diagonals.  Other nodes (transported, non-dyadic, ``for_points``) sum
-    every entry below the diagonal.
+    layer: on nodes with equal float gaps (``_equal_gaps``, phi the
+    identity) a layer is summed once on the m - 1 gaps to ``z_0`` and
+    copied along its diagonals.  Other nodes (transported, non-dyadic,
+    ``for_points``) sum every entry below the diagonal.
     """
     if pole is not None:
         return _gap_tables(pole, z, z0, n_max) + ("certified",)
@@ -1115,8 +1123,7 @@ def _fractional_sum_layers(alphas: Tuple[float, ...],
             f"{n_counts} multinomial components exceed budget 100000"
         )
     layers = np.zeros((n_max, m, m))
-    gaps = np.diff(z)
-    toeplitz = bool((gaps == gaps[:1]).all())
+    toeplitz = _equal_gaps(z)
     strict = ~_tril_mask(m).T
     lx = np.log(z[1:] - z[0] if toeplitz else
                 (z[:, None] - z[None, :])[strict])
@@ -1157,6 +1164,8 @@ def fractional_f(params: FractionalResolventParams, n: int,
         raise ValueError("n must be >= 1")
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if not math.isfinite(x) or not math.isfinite(y):
+        raise ValueError("x and y must be finite")
     if params.beta_p == 0.0:
         return _multinomial_value((params.alpha_p,), n, x)
     if y <= 0:
@@ -1950,27 +1959,40 @@ class _FractionalPlan(_GridPlan):
 
         with the step ends ``a_k < b_k`` clipped to ``[lo, t]``: one
         vectorised O(m**2) evaluation per term and no quadrature error.
+        Untransported nodes with equal gaps from ``lo = nodes[0]``
+        (``_equal_gaps``) make each distance a gap to nodes[0]: a term is
+        taken on the m gaps and its sum gathered along the diagonals.
         """
         if self.pole is not None:
             raise DivergentBoundError(
                 "certificates for fractional increment kernels are "
                 "implemented for beta = 0"
             )
-        lo, p = self.t0 if lo is None else lo, self.p
-        t = np.maximum(nodes, lo)[:, None]
-        ends = np.concatenate(([lo], nodes))[None, :]
-        # z-distance from t to every step end, ends above t clipped to t
-        dist = self.z(t) - self.z(np.clip(ends, lo, t))
+        lo, p, m = self.t0 if lo is None else lo, self.p, nodes.size
+        if self.phi is None and lo == nodes[0] and _equal_gaps(nodes):
+            # row i of the entry-wise differences: gap i less itself, gap q
+            # less gap q - 1 for q = i down to 1, then gap 0 less itself
+            dist, ahead = nodes - nodes[0], np.arange(m)
+            left, right = np.r_[ahead, 1:m], np.r_[ahead, :m - 1]
+            gather = np.tril(m + ahead[:, None] - ahead)
+            gather[:, 0] = ahead
+        else:
+            t = np.maximum(nodes, lo)[:, None]
+            ends = np.concatenate(([lo], nodes))[None, :]
+            # z-distance from t to every step end, ends above t clipped to t
+            dist = self.z(t) - self.z(np.clip(ends, lo, t))
+            left, right, gather = np.s_[:, :-1], np.s_[:, 1:], Ellipsis
         step = w0**p
-        b = np.zeros((n_layers, nodes.size))
+        b = np.zeros((n_layers, m))
         for i in range(1, n_layers + 1):
             weights = None
             for A, log_coef in _multinomial_terms(self.alphas, i):
                 powers = dist**A
-                part = (powers[:, :-1] - powers[:, 1:]) * (math.exp(log_coef)
-                                                           / A)
+                part = (powers[left] - powers[right]) * (math.exp(log_coef)
+                                                         / A)
                 weights = part if weights is None else weights + part
-            b[i - 1] = np.maximum(_ext_matmul(weights, step), 0.0) ** (1.0 / p)
+            b[i - 1] = np.maximum(_ext_matmul(weights[gather], step),
+                                  0.0) ** (1.0 / p)
         return b
 
     def _certificate(self, ts, w0, n_layers, domain):
